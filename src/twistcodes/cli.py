@@ -8,7 +8,8 @@ output.
 
 Exit status: 0 on success, 1 when a verification or certification fails
 (reference-example check failures, LCD criterion disagreement, distance
-budget exhausted), 2 on usage or input errors.
+budget exhausted) or the reader closes the output pipe early, 2 on usage
+or input errors.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from math import gcd
 from typing import Optional
 
 from . import __version__
@@ -241,10 +243,15 @@ def cmd_lcd_check(args, out: Emitter) -> int:
     )
     e = element_from_args(ctx, args)
     C = ideal_from_element(e)
-    gen = idempotent_generator(C, ctx)
     sub = is_lcd(C, args.galois)
-    lam2 = ctx.lam * ctx.lam == ctx.field.one
-    idem = check_idempotent_lcd(gen, args.galois) if lam2 else None
+    # the idempotent criterion needs a semisimple algebra and lam^2 = 1
+    if gcd(ctx.n, ctx.field.p) != 1:
+        idem, why = None, "n/a (p divides n)"
+    elif ctx.lam * ctx.lam != ctx.field.one:
+        idem, why = None, "n/a (lam^2 != 1)"
+    else:
+        idem = check_idempotent_lcd(idempotent_generator(C, ctx), args.galois)
+        why = str(idem)
     agree = (idem is None) or (idem == sub)
     out.record(
         {
@@ -255,8 +262,7 @@ def cmd_lcd_check(args, out: Emitter) -> int:
             "idempotent_lcd": idem,
             "agree": agree,
         },
-        f"[{C.n},{C.k}]: subspace criterion {sub}, idempotent criterion "
-        f"{idem if idem is not None else 'n/a (lam^2 != 1)'}, agree: {agree}",
+        f"[{C.n},{C.k}]: subspace criterion {sub}, idempotent criterion {why}, agree: {agree}",
     )
     return 0 if agree else 1
 
@@ -325,7 +331,7 @@ def cmd_search(args, out: Emitter) -> int:
 def cmd_verify_examples(args, out: Emitter) -> int:
     out.header("verify-examples", args, budget=args.budget)
     names = args.example if args.example else None
-    report = verify_reference_examples(names=names, budget=args.budget)
+    report = verify_reference_examples(names=names, budget=args.budget, seed=args.seed)
     for ex in report.examples:
         for c in ex.checks:
             out.record(
@@ -460,7 +466,15 @@ def main(argv=None) -> int:
 
 
 def console_main():
-    sys.exit(main())
+    try:
+        rc = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `| head`); send the unflushed
+        # rest to devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        rc = 1
+    sys.exit(rc)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,21 @@
 Elements are stored in the polynomial basis relative to a fixed monic
 irreducible modulus of degree m over GF(p).  Every element also has an
 integer index in [0, q): the little-endian base-p encoding of its
-coordinate tuple.  For q <= 256 the field precomputes full operation
-tables (python lists for scalar work, numpy arrays for the matrix and
-distance kernels in :mod:`twistcodes.codes`).
+coordinate tuple.
+
+Multiplication has one definition: take every product a_s b_t of the
+base-p digits mod p and sum them against the precomputed rows
+x^(s+t) mod modulus, batched over leading axes.  For q <= 256 the field
+applies it to all pairs, a block of rows at a time, and keeps full
+operation tables (numpy arrays for the matrix and distance kernels in
+:mod:`twistcodes.codes`, and their python-list copies for scalar work);
+inverse and Frobenius are read from the multiplication table.  Above
+256 every operation is computed per call: addition and negation
+digitwise, products by the same multiplication on a single pair, and
+inverse and Frobenius as powers.  Prime fields work with integers mod p
+throughout.  The modulus search and validation use
+:func:`twistcodes.poly.is_irreducible` over GF(p); each seeded search
+runs once per process.
 
 Fields are immutable after construction and safe to share; all element
 operations are pure.
@@ -14,6 +26,7 @@ operations are pure.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence, Union
 
@@ -29,6 +42,7 @@ from .errors import (
 
 MAX_PRIME = 1 << 16
 TABLE_LIMIT = 256
+_TABLE_BLOCK = 1 << 16  # int64 digit products held at once while building tables
 
 
 def is_prime(n: int) -> bool:
@@ -60,155 +74,36 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# polynomials over GF(p) as plain int lists (little-endian, trimmed)
-# Only used for modulus handling and element arithmetic; general GF(q)[x]
-# work lives in twistcodes.poly.
+def _is_irreducible(Fp: "FieldSpec", coeffs: Sequence[int]) -> bool:
+    """Irreducibility over the prime field Fp of the little-endian coeffs."""
+    from .poly import Poly, is_irreducible  # poly imports gf
+
+    return is_irreducible(Poly.from_ints(Fp, coeffs))
 
 
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _mul_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _rem_mod_p(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    # mod is monic
-    r = list(a)
-    dm = len(mod) - 1
-    while len(r) - 1 >= dm and r:
-        lead = r[-1]
-        shift = len(r) - 1 - dm
-        if lead:
-            for i in range(dm + 1):
-                r[shift + i] = (r[shift + i] - lead * mod[i]) % p
-        r.pop()
-        _trim(r)
-    return r
-
-
-def _pow_mod_p(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    b = _rem_mod_p(base, mod, p)
-    while e:
-        if e & 1:
-            result = _rem_mod_p(_mul_mod_p(result, b, p), mod, p)
-        b = _rem_mod_p(_mul_mod_p(b, b, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _gcd_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        # _rem_mod_p needs a monic divisor; scaling b only changes units
-        a, b = b, _rem_mod_p(a, _make_monic(b, p), p)
-    return _make_monic(a, p)
-
-
-def _make_monic(c: Sequence[int], p: int) -> list[int]:
-    c = _trim(list(c))
-    if not c:
-        return c
-    lead = c[-1]
-    if lead == 1:
-        return c
-    inv = pow(lead, p - 2, p)
-    return [(x * inv) % p for x in c]
-
-
-def _inv_mod_modulus(c: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    """Inverse of c modulo the monic polynomial mod, over GF(p)."""
-    # extended Euclid on (c, mod)
-    r0, r1 = list(mod), _trim(list(c))
-    s0, s1 = [], [1]
-    while r1:
-        # divide r0 by r1
-        q, r = _divmod_mod_p(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub_mod_p(s0, _mul_mod_p(q, s1, p), p)
-    # r0 = gcd, must be a nonzero constant for invertible c
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    scale = pow(r0[0], p - 2, p)
-    return _trim([(x * scale) % p for x in s0])
-
-
-def _sub_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _trim(out)
-
-
-def _divmod_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    r = list(a)
-    db = len(b) - 1
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(len(r) - db, 0)
-    while len(r) - 1 >= db and r:
-        coef = (r[-1] * inv_lead) % p
-        shift = len(r) - 1 - db
-        q[shift] = coef
-        if coef:
-            for i in range(db + 1):
-                r[shift + i] = (r[shift + i] - coef * b[i]) % p
-        _trim(r)
-        if not r:
-            break
-        while len(r) - 1 >= db and r[-1] == 0:
-            r.pop()
-    return _trim(q), _trim(r)
-
-
-def _is_irreducible_mod_p(f: Sequence[int], p: int) -> bool:
-    """Irreducibility of monic f over GF(p) via the Frobenius power test."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    # x^(p^n) == x mod f
-    h = list(x)
-    powers = {}
-    for i in range(1, n + 1):
-        h = _pow_mod_p(h, p, f, p)
-        powers[i] = list(h)
-    if _trim(_sub_mod_p(powers[n], x, p)):
-        return False
-    for t in prime_factors(n):
-        g = _gcd_mod_p(_sub_mod_p(powers[n // t], x, p), f, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
+@lru_cache(maxsize=None)
 def _find_irreducible(p: int, m: int, seed: int) -> tuple[int, ...]:
-    """Seeded random search for a monic irreducible of degree m over GF(p)."""
+    """Seeded random search for a monic irreducible of degree m over GF(p);
+    a pure function of its arguments, so each search runs once per process."""
+    Fp = FieldSpec(p)
     rng = random.Random(seed * 0x9E3779B1 + p * 1315423911 + m)
     while True:
         coeffs = [rng.randrange(p) for _ in range(m)] + [1]
         if coeffs[0] == 0:
             continue  # x | f, never irreducible for m > 1
-        if _is_irreducible_mod_p(coeffs, p):
+        if _is_irreducible(Fp, coeffs):
             return tuple(coeffs)
+
+
+def _power(x, e: int, one, mul):
+    """x^e by square and multiply, for any associative mul with identity one."""
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, x)
+        x = mul(x, x)
+        e >>= 1
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +121,7 @@ class FieldElem:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Polynomial-basis coordinates, little-endian, length m."""
-        p, m = self.field.p, self.field.m
-        i = self.index
-        out = []
-        for _ in range(m):
-            out.append(i % p)
-            i //= p
-        return tuple(out)
+        return tuple(self.field._coeffs_of(self.index))
 
     def _check(self, other: "FieldElem") -> None:
         if not isinstance(other, FieldElem) or self.field != other.field:
@@ -265,17 +154,9 @@ class FieldElem:
         return self.field.from_index(self.field.inv_index(self.index))
 
     def __pow__(self, e: int) -> "FieldElem":
-        F = self.field
         if e < 0:
             return self.inverse() ** (-e)
-        result = F.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return self.field.from_index(self.field.pow_index(self.index, e))
 
     def frobenius(self, k: int = 1) -> "FieldElem":
         """x -> x^(p^k); k is reduced mod m."""
@@ -352,10 +233,11 @@ class FieldSpec:
                 raise DegreeMismatch(
                     f"modulus must be monic of degree {m}, got {list(modulus)}"
                 )
-            if m > 1 and not _is_irreducible_mod_p(mod, p):
+            if m > 1 and not _is_irreducible(FieldSpec(p), mod):
                 raise ReducibleModulus(f"modulus {mod} is reducible over GF({p})")
             self.modulus = tuple(mod)
 
+        self._reduction = self._reduction_rows() if m > 1 else None
         self._elems: Optional[list[FieldElem]] = None
         self._add = self._mul = self._neg = self._inv = self._frob = None
         self.np_add = self.np_mul = self.np_neg = self.np_inv = self.np_frob = None
@@ -414,89 +296,86 @@ class FieldSpec:
     def mul_index(self, i: int, j: int) -> int:
         if self._mul is not None:
             return self._mul[i][j]
-        return self._mul_index_slow(i, j)
-
-    def _mul_index_slow(self, i: int, j: int) -> int:
         if self.m == 1:
             return (i * j) % self.p
-        prod = _mul_mod_p(_trim(self._coeffs_of(i)), _trim(self._coeffs_of(j)), self.p)
-        red = _rem_mod_p(prod, self.modulus, self.p)
-        return self._index_of(red + [0] * (self.m - len(red)))
+        if i <= 1 or j <= 1:  # indices 0 and 1 are zero and one
+            return i * j
+        return self._index_of(
+            self._mul_digits(self._digit_array(i), self._digit_array(j)).tolist()
+        )
+
+    def pow_index(self, i: int, e: int) -> int:
+        """Index of x^e for the element of index i; e >= 0."""
+        if self.m == 1:
+            return pow(i, e, self.p)
+        if self._mul is not None:
+            mul = self._mul
+            return _power(i, e, 1, lambda a, b: mul[a][b])
+        x = _power(self._digit_array(i), e, self._digit_array(1), self._mul_digits)
+        return self._index_of(x.tolist())
 
     def inv_index(self, i: int) -> int:
         if i == 0:
             raise ZeroDivisionError("zero has no inverse")
         if self._inv is not None:
             return self._inv[i]
-        if self.m == 1:
-            return pow(i, self.p - 2, self.p)
-        inv = _inv_mod_modulus(_trim(self._coeffs_of(i)), list(self.modulus), self.p)
-        return self._index_of(inv + [0] * (self.m - len(inv)))
+        return self.pow_index(i, self.q - 2)
 
     def frob_index(self, i: int) -> int:
         """Index of x^p for the element of index i."""
         if self._frob is not None:
             return self._frob[i]
-        acc_base, acc = i, 1
-        e = self.p
-        while e:
-            if e & 1:
-                acc = self._mul_index_slow(acc, acc_base)
-            acc_base = self._mul_index_slow(acc_base, acc_base)
-            e >>= 1
-        return acc
+        if self.m == 1:
+            return i
+        return self.pow_index(i, self.p)
+
+    def _digit_array(self, i: int) -> np.ndarray:
+        return np.array(self._coeffs_of(i), dtype=np.int64)
+
+    def _mul_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products of base-p digit arrays a and b, which broadcast over
+        their leading axes: every digit product a_s b_t, reduced mod p,
+        times the row x^(s+t) mod modulus."""
+        prod = a[..., :, None] * b[..., None, :] % self.p
+        return prod.reshape(prod.shape[:-2] + (-1,)) @ self._reduction % self.p
+
+    def _reduction_rows(self) -> np.ndarray:
+        """Row s*m + t holds the digits of x^(s+t) mod modulus; m > 1."""
+        p, m = self.p, self.m
+        red = np.zeros((2 * m - 1, m), dtype=np.int64)
+        red[:m] = np.eye(m, dtype=np.int64)
+        red[m] = [-c % p for c in self.modulus[:m]]
+        for s in range(m + 1, 2 * m - 1):
+            red[s, 1:] = red[s - 1, :-1]
+            red[s] = (red[s] + red[s - 1, -1] * red[m]) % p
+        return red[np.add.outer(np.arange(m), np.arange(m)).ravel()]
 
     def _build_tables(self):
-        q, p = self.q, self.p
-        mul = [[0] * q for _ in range(q)]
-        add = [[0] * q for _ in range(q)]
-        if self.m == 1:
-            for i in range(q):
-                row_a, row_m = add[i], mul[i]
-                for j in range(q):
-                    row_a[j] = (i + j) % p
-                    row_m[j] = (i * j) % p
+        q, p, m = self.q, self.p, self.m
+        r = np.arange(q, dtype=np.int64)
+        if m == 1:
+            # residues are their own digits, and Frobenius is the identity
+            add, mul, neg, frob = (r[:, None] + r) % p, r[:, None] * r % p, -r % p, r
         else:
-            coeff = [self._coeffs_of(i) for i in range(q)]
-            for i in range(q):
-                ci = coeff[i]
-                row_a, row_m = add[i], mul[i]
-                for j in range(i, q):
-                    s = self._index_of([(x + y) % p for x, y in zip(ci, coeff[j])])
-                    row_a[j] = s
-                    add[j][i] = s
-                    t = self._mul_index_slow(i, j)
-                    row_m[j] = t
-                    mul[j][i] = t
-        neg = [0] * q
-        inv = [0] * q
-        frob = [0] * q
-        for i in range(q):
-            neg[i] = (
-                (-i) % p
-                if self.m == 1
-                else self._index_of([(-c) % p for c in self._coeffs_of(i)])
-            )
-            frob[i] = self._pow_index_tbl(mul, i, p)
-            if i:
-                inv[i] = self._pow_index_tbl(mul, i, q - 2)
-        self._add, self._mul, self._neg, self._inv, self._frob = add, mul, neg, inv, frob
-        self.np_add = np.array(add, dtype=np.uint8)
-        self.np_mul = np.array(mul, dtype=np.uint8)
-        self.np_neg = np.array(neg, dtype=np.uint8)
-        self.np_inv = np.array(inv, dtype=np.uint8)
-        self.np_frob = np.array(frob, dtype=np.uint8)
+            place = p ** np.arange(m, dtype=np.int64)
+            digits = r[:, None] // place % p
+            add = np.empty((q, q), dtype=np.uint8)
+            mul = np.empty((q, q), dtype=np.uint8)
+            step = max(1, _TABLE_BLOCK // (q * m * m))
+            for lo in range(0, q, step):
+                rows = digits[lo : lo + step, None, :]
+                add[lo : lo + step] = (rows + digits) % p @ place
+                mul[lo : lo + step] = self._mul_digits(rows, digits) @ place
+            neg = (-digits) % p @ place
+            frob = _power(r, p, np.ones(q, dtype=np.int64), lambda a, b: mul[a, b])
+        inv = np.argmax(mul == 1, axis=1)  # row 0 has no 1: inv[0] = 0
+        self.np_add, self.np_mul, self.np_neg, self.np_inv, self.np_frob = (
+            t.astype(np.uint8) for t in (add, mul, neg, inv, frob)
+        )
+        self._add, self._mul, self._neg, self._inv, self._frob = (
+            t.tolist() for t in (add, mul, neg, inv, frob)
+        )
         self._elems = [FieldElem(self, i) for i in range(q)]
-
-    @staticmethod
-    def _pow_index_tbl(mul: list[list[int]], i: int, e: int) -> int:
-        acc, base = 1, i
-        while e:
-            if e & 1:
-                acc = mul[acc][base]
-            base = mul[base][base]
-            e >>= 1
-        return acc
 
     # -- element constructors ------------------------------------------------
 
@@ -548,11 +427,6 @@ class FieldSpec:
         return cls(d["p"], d["m"], d["modulus"])
 
 
-def field_new(p: int, m: int = 1, modulus=None, seed: int = 0) -> FieldSpec:
-    """Construct and validate GF(p^m); see FieldSpec."""
-    return FieldSpec(p, m, modulus=modulus, seed=seed)
-
-
 def GF(q: int, modulus=None, seed: int = 0) -> FieldSpec:
     """GF(q) for a prime power q, factoring q into p^m."""
     for p in prime_factors(q):
@@ -565,11 +439,6 @@ def GF(q: int, modulus=None, seed: int = 0) -> FieldSpec:
             raise NonPrime(f"q = {q} is not a prime power")
         return FieldSpec(p, m, modulus=modulus, seed=seed)
     raise NonPrime(f"q = {q} is not a prime power")
-
-
-def frobenius(x: FieldElem, k: int) -> FieldElem:
-    """x^(p^k); module-level alias for FieldElem.frobenius."""
-    return x.frobenius(k)
 
 
 def nth_power_witness(

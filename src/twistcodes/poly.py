@@ -21,7 +21,7 @@ from .errors import (
     NotSquarefree,
     ZeroLambda,
 )
-from .gf import FieldElem, FieldSpec
+from .gf import FieldElem, FieldSpec, prime_factors
 
 
 class Poly:
@@ -251,24 +251,10 @@ def is_irreducible(f: Poly) -> bool:
         powers[i] = h
     if not (powers[n] - x).is_zero():
         return False
-    for d in {n // t for t in _prime_divisors(n)}:
+    for d in {n // t for t in prime_factors(n)}:
         if not (powers[d] - x).gcd(fm).is_one():
             return False
     return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _ddf(f: Poly) -> list[tuple[Poly, int]]:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twistcodes.discover
 from twistcodes.cli import main
 
 E1_SEQ = "2,0,2,0,1,0,2,0,1,0"
@@ -170,6 +175,25 @@ def test_verify_examples_subset(capsys):
     assert len(names) == 2
 
 
+def test_verify_examples_seed_reaches_enumeration(capsys, monkeypatch):
+    seeds = []
+    original = twistcodes.discover.primitive_idempotents
+
+    def recording(field, n, lam, seed=0):
+        seeds.append(seed)
+        return original(field, n, lam, seed=seed)
+
+    monkeypatch.setattr(twistcodes.discover, "primitive_idempotents", recording)
+    argv = ["verify-examples", "--example", "GF(3)", "--format", "json"]
+    rc, out7 = run(capsys, argv + ["--seed", "7"])
+    assert rc == 0
+    assert seeds and set(seeds) == {7}
+    rc, out0 = run(capsys, argv)
+    assert rc == 0
+    # canonical factor order: only the header's seed differs
+    assert out7.splitlines()[1:] == out0.splitlines()[1:]
+
+
 def test_verify_examples_full(capsys):
     # the whole bundle, including the two heavyweight distance runs
     rc, out = run(capsys, ["verify-examples"])
@@ -209,3 +233,35 @@ def test_malformed_input_exit_2():
     assert main(["code", "-q", "3", "-n", "10", "--lam", "2", "--mask", "-1"]) == 2
     assert main(["code", "-q", "3", "-n", "10", "--lam", "2", "--mask", "99"]) == 2
     assert main(["factor", "-q", "3", "-n", "10", "--lam", "0"]) == 2  # zero wrap unit
+
+
+def test_lcd_check_not_semisimple(capsys):
+    # 3 | 6: no idempotent generator, but the subspace criterion is defined
+    rc, out = run(
+        capsys,
+        ["lcd-check", "-q", "3", "-n", "6", "--lam", "2", "--idempotent", "1,1", "--format", "json"],
+    )
+    assert rc == 0
+    rec = json_lines(out)[-1]
+    assert rec["idempotent_lcd"] is None
+    assert rec["subspace_lcd"] is True and rec["agree"] is True
+    rc, out = run(capsys, ["lcd-check", "-q", "3", "-n", "6", "--lam", "2", "--idempotent", "1,1"])
+    assert rc == 0
+    assert "idempotent criterion n/a (p divides n)" in out
+
+
+def test_closed_stdout_pipe_no_traceback():
+    # like `twistcodes factor ... | head -1`, with the reader gone before any output
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twistcodes.cli", "factor", "-q", "2", "-n", "255", "--lam", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -13,6 +13,7 @@ from twistcodes.discover import (
     make_reference_ctx,
     search_lcd,
     verify_reference_examples,
+    _verdict,
 )
 from twistcodes.talg import AlgebraCtx
 
@@ -132,6 +133,14 @@ def test_compare_verdicts():
     assert recs[4].verdict.status == "unknown"
     assert compare(recs[8], None) == Verdict("unknown")
     assert compare(recs[8], t).status == "optimal"
+
+
+def test_verdict_above_table():
+    # a certified d above the table is a table error or a record, never "optimal"
+    v = _verdict(9, 7)
+    assert v == Verdict("exceeds-table", -2)
+    assert str(v) == "exceeds-table(-2)"
+    assert _verdict(7, 7) == Verdict("optimal", 0)
 
 
 def test_verify_examples_small():

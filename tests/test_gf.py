@@ -10,7 +10,7 @@ from twistcodes.errors import (
     ReducibleModulus,
     ZeroTarget,
 )
-from twistcodes.gf import GF, FieldSpec, field_new, norm_image_classes, nth_power_witness
+from twistcodes.gf import GF, FieldSpec, norm_image_classes, nth_power_witness
 
 F3 = GF(3)
 F5 = GF(5)
@@ -29,21 +29,21 @@ def test_prime_field_construction():
 
 def test_construction_errors():
     with pytest.raises(NonPrime):
-        field_new(6)
+        FieldSpec(6)
     with pytest.raises(NonPrime):
-        field_new(1)
+        FieldSpec(1)
     # x^2+2 = (x-1)(x+1) over GF(3): root at 1
     with pytest.raises(ReducibleModulus):
-        field_new(3, 2, modulus=[2, 0, 1])
+        FieldSpec(3, 2, modulus=[2, 0, 1])
     with pytest.raises(DegreeMismatch):
-        field_new(3, 2, modulus=[1, 1])  # degree 1, not 2
+        FieldSpec(3, 2, modulus=[1, 1])  # degree 1, not 2
     with pytest.raises(DegreeMismatch):
-        field_new(3, 2, modulus=[1, 0, 2])  # not monic
+        FieldSpec(3, 2, modulus=[1, 0, 2])  # not monic
 
 
 def test_modulus_search_deterministic():
-    a = field_new(3, 3, seed=7)
-    b = field_new(3, 3, seed=7)
+    a = FieldSpec(3, 3, seed=7)
+    b = FieldSpec(3, 3, seed=7)
     assert a.modulus == b.modulus
     assert a == b
 
@@ -181,3 +181,33 @@ def test_fields_beyond_table_limit():
     for _ in range(F729.m):
         t = t.frobenius(1)
     assert t == b
+
+
+# Moduli chosen by the seeded search; pinned so the search keeps its RNG stream
+# and acceptance rule, and every serialized field stays byte-identical.
+FROZEN_MODULI = {
+    4: {0: (1, 1, 1), 1: (1, 1, 1), 7: (1, 1, 1)},
+    8: {0: (1, 1, 0, 1), 1: (1, 0, 1, 1), 7: (1, 1, 0, 1)},
+    9: {0: (2, 1, 1), 1: (1, 0, 1), 7: (1, 0, 1)},
+    16: {0: (1, 1, 1, 1, 1), 1: (1, 0, 0, 1, 1), 7: (1, 0, 0, 1, 1)},
+    27: {0: (2, 2, 0, 1), 1: (2, 2, 0, 1), 7: (2, 2, 2, 1)},
+    32: {0: (1, 0, 1, 0, 0, 1), 1: (1, 1, 1, 0, 1, 1), 7: (1, 0, 0, 1, 0, 1)},
+    49: {0: (2, 0, 1), 1: (1, 0, 1), 7: (6, 1, 1)},
+    64: {0: (1, 0, 0, 0, 0, 1, 1), 1: (1, 1, 1, 0, 1, 0, 1), 7: (1, 1, 1, 0, 1, 0, 1)},
+    81: {0: (2, 1, 1, 2, 1), 1: (2, 2, 2, 1, 1), 7: (1, 0, 1, 1, 1)},
+    125: {0: (3, 4, 1, 1), 1: (2, 1, 4, 1), 7: (3, 0, 2, 1)},
+    128: {0: (1, 0, 1, 1, 1, 1, 1, 1), 1: (1, 0, 1, 0, 0, 1, 1, 1), 7: (1, 1, 1, 1, 0, 1, 1, 1)},
+    243: {0: (2, 0, 2, 0, 2, 1), 1: (2, 1, 2, 0, 2, 1), 7: (2, 2, 0, 0, 2, 1)},
+    256: {
+        0: (1, 1, 1, 0, 0, 1, 1, 1, 1),
+        1: (1, 0, 0, 1, 1, 1, 0, 0, 1),
+        7: (1, 0, 1, 1, 1, 0, 0, 0, 1),
+    },
+    729: {0: (2, 0, 0, 1, 0, 1, 1), 1: (1, 1, 1, 0, 0, 1, 1), 7: (1, 2, 1, 0, 0, 2, 1)},
+}
+
+
+@pytest.mark.parametrize("q", sorted(FROZEN_MODULI))
+def test_modulus_search_frozen(q):
+    for seed, modulus in FROZEN_MODULI[q].items():
+        assert GF(q, seed=seed).modulus == modulus
