@@ -318,14 +318,20 @@ def cmd_search(args, out: Emitter) -> int:
         seed=args.seed,
         min_dim=args.min_dim,
     )
+    uncertified = 0
     for rec in records:
         d = rec.d if rec.d is not None else "?"
+        if rec.d is None and rec.d_lower is not None:
+            uncertified += 1
+            d = f"{rec.d_lower}..{rec.d_upper if rec.d_upper is not None else '?'}"
         out.record(
             {"record": "code-record", **rec.to_dict()},
             f"mask {rec.subset_mask:>4}: [{rec.n},{rec.k},{d}] verdict={rec.verdict} "
             f"e = {rec.idempotent}",
         )
-    return 0
+    if uncertified:
+        print(f"error: distance budget exhausted on {uncertified} record(s)", file=sys.stderr)
+    return 1 if uncertified else 0
 
 
 def cmd_verify_examples(args, out: Emitter) -> int:

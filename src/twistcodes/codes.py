@@ -6,10 +6,12 @@ matrix kernels (RREF, null space, rank) run on numpy arrays of element
 indices using the field's operation tables, which keeps the ideal sweeps
 and the minimum-distance enumerations fast without any compiled code.
 
-Minimum distance uses exhaustive codeword enumeration when q^k is small
-enough and otherwise single-information-set enumeration in increasing
-message weight, certifying d once the weight bound passes the best
-codeword found.
+Minimum distance enumerates all q^k codewords when that is small enough,
+and otherwise the messages of one information set in increasing weight,
+certifying d once the weight bound passes the best codeword found.  Both
+share one compare kernel: each message is a prefix codeword p plus an
+entry t of a small table, and the weight of p + t is the number of
+positions where t != -p, so the inner loop reads no field table.
 """
 
 from __future__ import annotations
@@ -381,77 +383,99 @@ def min_distance(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _min_distance_exhaustive(C: LinearCode, budget: int) -> DistanceCertificate:
-    field, G, n, k = C.field, C.gen, C.n, C.k
+def _span(field: FieldSpec, rows: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """sum_j d_j rows[j] for every digit tuple over `digits`, one codeword
+    per row, little-endian: the digit of rows[0] varies fastest."""
     ADD, MUL, _, _ = _tables(field)
-    q = field.q
+    out = np.zeros((1, rows.shape[1]), dtype=np.uint8)
+    for g in rows:
+        out = ADD[MUL[digits][:, g][:, None], out[None]].reshape(-1, rows.shape[1])
+    return out
+
+
+def _codewords(field: FieldSpec, rows: np.ndarray, digits: np.ndarray, start: int, stop: int):
+    """Entries start..stop-1 of _span(field, rows, digits), building no table
+    of more than stop - start + 2 * _BLOCK rows."""
+    b = max(b for b in range(len(rows) + 1) if len(digits) ** b <= _BLOCK)
+    low = _span(field, rows[:b], digits)
+    if b == len(rows):
+        return low[start:stop]
+    t = len(low)
+    high = _codewords(field, rows[b:], digits, start // t, -(-stop // t))
+    both = field.np_add[high[:, None], low[None]].reshape(-1, rows.shape[1])
+    return both[start % t : start % t + stop - start]
+
+
+def _scan(field: FieldSpec, P: np.ndarray, T: np.ndarray, m: int, best):
+    """The compare kernel: the weight of P[i] + t is the number of positions
+    where t != -P[i], so no field table is read per codeword.
+
+    T holds one codeword per column, in groups of m columns.  Weights are
+    visited by group, then by row of P, then within the group; best is the
+    (weight, codeword) of the first minimum so far and gives way only to a
+    lighter codeword, so the first minimum in visiting order wins.
+    """
+    NP, flip = field.np_neg[P].T, len(P) > T.shape[1]  # the longer side runs innermost
+    A, B = (T[:, :, None], NP[:, None]) if flip else (NP[:, :, None], T[:, None])
+    W = (A[0] != B[0]).astype(np.uint8 if len(T) < 256 else np.uint16)
+    for c in range(1, len(T)):
+        W += A[c] != B[c]
+    shape, axes = ((-1, m, len(P)), (0, 2, 1)) if flip else ((len(P), -1, m), (1, 0, 2))
+    W = W.reshape(shape).transpose(axes).ravel()
+    i = int(W.argmin())
+    if W[i] == 0:  # the zero codeword: message 0, the first one visited
+        i = 1 + int(W[1:].argmin())
+    if best is None or W[i] < best[0]:
+        g, r = divmod(i, len(P) * m)
+        best = int(W[i]), field.np_add[P[r // m], T[:, g * m + r % m]]
+    return best
+
+
+def _min_distance_exhaustive(C: LinearCode, budget: int) -> DistanceCertificate:
+    field, G, k = C.field, C.gen, C.k
+    q, digits = field.q, np.arange(field.q)
     total = q**k
-    best_w, best_row = None, None
-    work = 0
-    for start in range(0, total, _BLOCK):
-        end = min(start + _BLOCK, total)
-        if end > budget:
-            raise BudgetExceeded(best_w, 1, work)
-        idx = np.arange(start, end, dtype=np.int64)
-        acc = np.zeros((end - start, n), dtype=np.uint8)
-        rem = idx
-        for j in range(k):
-            dig = (rem % q).astype(np.uint8)
-            rem = rem // q
-            if dig.any():
-                acc = ADD[acc, MUL[dig[:, None], G[j][None, :]]]
-        w = (acc != 0).sum(axis=1)
-        if start == 0:
-            w[0] = n + 1  # the zero message
-        i = int(w.argmin())
-        if best_w is None or w[i] < best_w:
-            best_w, best_row = int(w[i]), acc[i].copy()
-        work = end
-    return DistanceCertificate(
-        d=best_w,
-        witness=_vec_elems(field, best_row),
-        method="exhaustive",
-        work=work,
-    )
-
-
-def _value_combos(q: int, w: int) -> np.ndarray:
-    """All (q-1)^w tuples of nonzero element indices, as a (., w) array."""
-    nz = np.arange(1, q, dtype=np.uint8)
-    grids = np.meshgrid(*([nz] * w), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    stop = total if total <= budget else max(0, budget // _BLOCK * _BLOCK)
+    # message i is prefix i // t (rows b..k-1) plus entry i % t of T (rows 0..b-1)
+    b = max(b for b in range(k + 1) if q**b <= max(1, min(stop, _BLOCK)))
+    T = np.ascontiguousarray(_span(field, G[:b], digits).T)
+    t = T.shape[1]
+    full, rem = divmod(stop, t)
+    best, pb = None, max(1, _BLOCK // t)
+    for s0 in range(0, full, _BLOCK):
+        P = _codewords(field, G[b:], digits, s0, min(s0 + _BLOCK, full))
+        for i in range(0, len(P), pb):
+            best = _scan(field, P[i : i + pb], T, t, best)
+    if rem:
+        best = _scan(field, _codewords(field, G[b:], digits, full, full + 1), T[:, :rem], rem, best)
+    if stop < total:
+        raise BudgetExceeded(best[0] if best else None, 1, stop)
+    return DistanceCertificate(best[0], _vec_elems(field, best[1]), "exhaustive", stop)
 
 
 def _min_distance_infoset(C: LinearCode, budget: int) -> DistanceCertificate:
-    field, G, n, k = C.field, C.gen, C.n, C.k
-    ADD, MUL, _, _ = _tables(field)
-    q = field.q
-    best_w, best_row = None, None
-    work = 0
-    completed = 0
+    field, G, k = C.field, C.gen, C.k
+    m, nz = field.q - 1, np.arange(1, field.q)
+    best, work, completed = None, 0, 0
     for w in range(1, k + 1):
-        n_vals = (q - 1) ** w
-        if work + n_vals > budget:
-            raise BudgetExceeded(best_w, completed + 1, work)
-        V = _value_combos(q, w)
-        for supp in combinations(range(k), w):
-            if work + n_vals > budget:
-                raise BudgetExceeded(best_w, completed + 1, work)
-            acc = np.zeros((n_vals, n), dtype=np.uint8)
-            for t in range(w):
-                acc = ADD[acc, MUL[V[:, t][:, None], G[supp[t]][None, :]]]
-            ws = (acc != 0).sum(axis=1)
-            i = int(ws.argmin())
-            if best_w is None or ws[i] < best_w:
-                best_w, best_row = int(ws[i]), acc[i].copy()
-            work += n_vals
+        n_vals, n_head = m**w, m ** (w - 1)
+        pb = min(n_head, _BLOCK // m)  # head codewords per batch
+        step = max(1, _BLOCK // (pb * m))  # last rows per batch
+        # supports that share their first w - 1 rows (the head) are consecutive;
+        # meshgrid order over the head is little-endian over the reversed head
+        for head in combinations(range(k), w - 1):
+            first = head[-1] + 1 if head else 0
+            fit = min(k - first, max(0, (budget - work) // n_vals))
+            # every nonzero multiple of every admissible last row, by row then multiple
+            T = field.np_mul[nz][:, G[first : first + fit]].transpose(2, 1, 0).reshape(C.n, -1)
+            for l0 in range(0, fit, step):
+                for p0 in range(0, n_head, pb):
+                    P = _codewords(field, G[list(head[::-1])], nz, p0, min(p0 + pb, n_head))
+                    best = _scan(field, P, T[:, l0 * m : (l0 + step) * m], m, best)
+            work += fit * n_vals
+            if fit < k - first:
+                raise BudgetExceeded(best[0] if best else None, completed + 1, work)
         completed = w
-        if w + 1 >= best_w:
+        if w + 1 >= best[0]:
             break
-    return DistanceCertificate(
-        d=best_w,
-        witness=_vec_elems(field, best_row),
-        method="info-set",
-        work=work,
-        message_weight=completed,
-    )
+    return DistanceCertificate(best[0], _vec_elems(field, best[1]), "info-set", work, completed)

@@ -55,7 +55,7 @@ class Verdict:
 @dataclass(frozen=True)
 class CodeRecord:
     """One enumerated ideal: parameters, generator idempotent, LCD flags,
-    and the best-known comparison."""
+    distance bounds with their certificate, and the best-known comparison."""
 
     q: int
     n: int
@@ -69,9 +69,11 @@ class CodeRecord:
     best_known_d: Optional[int]
     verdict: Verdict
     certificate: Optional[DistanceCertificate] = None
+    d_lower: Optional[int] = None  # set when the distance search ran
+    d_upper: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "q": self.q,
             "n": self.n,
             "lam": self.lam.ser(),
@@ -84,6 +86,13 @@ class CodeRecord:
             "verdict": str(self.verdict),
             "idempotent": self.idempotent.ser(),
         }
+        if self.d_lower is not None:
+            cert = self.certificate
+            out["d_lower"], out["d_upper"] = self.d_lower, self.d_upper
+            out["certificate"] = None if cert is None else {
+                "method": cert.method, "work": cert.work, "message_weight": cert.message_weight
+            }
+        return out
 
 
 class BestKnownTable:
@@ -196,14 +205,13 @@ def _build_record(
                 f"(q={field.q}, n={ctx.n}, lam={ctx.lam}, mask={mask}, k={k})"
             )
         flags[k] = flag
-    d = None
-    cert = None
+    d = cert = lower = upper = None
     if distances and C.k >= 1:
         try:
             cert = min_distance(C, budget=budget)
-            d = cert.d
-        except BudgetExceeded:
-            pass
+            d = lower = upper = cert.d
+        except BudgetExceeded as exc:
+            lower, upper = exc.lower, exc.upper
     best = table.lookup(field.q, ctx.n, C.k) if table else None
     return CodeRecord(
         q=field.q,
@@ -218,6 +226,8 @@ def _build_record(
         best_known_d=best,
         verdict=_verdict(d, best),
         certificate=cert,
+        d_lower=lower,
+        d_upper=upper,
     )
 
 

@@ -141,6 +141,7 @@ def test_criterion_3_example_gf5_n21():
     assert cf.method == "info-set"
     assert cf.message_weight == 2  # no codeword of weight <= 2 exists
     assert cf.work <= 3500
+    assert cf.work == 1_740
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(
@@ -163,6 +164,7 @@ def test_criterion_4_example_gf7_n19():
     assert cf.method == "info-set"
     assert cf.message_weight == 5
     assert cf.work <= 7_000_000
+    assert cf.work == 6_850_080
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     report(
@@ -170,6 +172,43 @@ def test_criterion_4_example_gf7_n19():
         f"GF(7) n=19 lam=6: (7,10) exhaustive 7^7, (12,6) info-set to "
         f"message weight 5, work={cf.work} ({elapsed:.1f}s < 120s)",
     )
+
+
+# The certificates of the eight reference codes, as (k, d, method, work,
+# message weight, witness indices).  They pin the enumeration order: the
+# witness is the first minimum-weight codeword that order meets.
+REFERENCE_CERTIFICATES = {
+    (0, "e"): (8, 2, "exhaustive", 6561, None, [1, 0, 0, 0, 0, 0, 0, 0, 2, 0]),
+    (0, "f"): (2, 5, "exhaustive", 9, None, [1, 0, 2, 0, 1, 0, 2, 0, 1, 0]),
+    (1, "e"): (2, 6, "exhaustive", 25, None, [1, 0, 4, 4, 0, 1, 1, 0, 4]),
+    (1, "f"): (7, 2, "exhaustive", 78125, None, [0, 1, 0, 0, 0, 0, 0, 4, 0]),
+    (2, "e"): (
+        6, 12, "exhaustive", 15625, None,
+        [4, 1, 0, 0, 0, 0, 1, 4, 3, 4, 0, 0, 1, 3, 0, 2, 4, 0, 0, 1, 2],
+    ),
+    (2, "f"): (
+        15, 3, "info-set", 1740, 2,
+        [0, 1, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],
+    ),
+    (3, "e"): (
+        7, 10, "exhaustive", 823543, None,
+        [0, 0, 1, 0, 0, 0, 0, 2, 4, 6, 1, 1, 0, 1, 4, 0, 6, 0, 4],
+    ),
+    (3, "f"): (
+        12, 6, "info-set", 6850080, 5,
+        [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 6, 0, 1, 3],
+    ),
+}
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_reference_certificates_frozen(index):
+    ex, ctx, e, f = _example_codes(index)
+    for name, gen in (("e", e), ("f", f)):
+        C = ideal_from_element(gen)
+        cert = min_distance(C)
+        got = (C.k, cert.d, cert.method, cert.work, cert.message_weight)
+        assert got + ([c.index for c in cert.witness],) == REFERENCE_CERTIFICATES[index, name]
 
 
 def test_criterion_5_search_rediscovery():

@@ -163,6 +163,48 @@ def test_search_deterministic_output(capsys):
     assert out1 == out2
 
 
+SEARCH_KEYS = {
+    "record", "q", "n", "lam", "mask", "k", "d", "lcd_euclid", "lcd_galois",
+    "best_known_d", "verdict", "idempotent",
+}
+
+
+def test_search_budget_exhausted_reports_bounds(capsys):
+    args = ["search", "-q", "7", "-n", "19", "--lam", "6", "--budget", "1000", "--format", "json"]
+    rc, out = run(capsys, args)
+    assert rc == 1  # some distance was not certified
+    codes = [r for r in json_lines(out) if r["record"] == "code-record"]
+    unknown = [r for r in codes if r["k"] and r["d"] is None]
+    certified = [r for r in codes if r["d"] is not None]
+    assert unknown and certified
+    for r in unknown:
+        assert r["certificate"] is None and r["verdict"] == "unknown"
+        assert 1 <= r["d_lower"] and (r["d_upper"] is None or r["d_lower"] <= r["d_upper"])
+    for r in certified:
+        assert r["d_lower"] == r["d_upper"] == r["d"]
+        assert set(r["certificate"]) == {"method", "work", "message_weight"}
+        assert r["certificate"]["work"] <= 1000
+    # the zero code has no distance to search for, so it gets no new keys
+    assert set(next(r for r in codes if r["k"] == 0)) == SEARCH_KEYS
+    by_mask = {r["mask"]: r for r in codes}
+    assert (by_mask[30]["d_lower"], by_mask[30]["d_upper"]) == (2, 6)
+    assert by_mask[1]["certificate"] == {"method": "exhaustive", "work": 7, "message_weight": None}
+    rc, text = run(capsys, args[:-2])
+    assert rc == 1
+    assert "mask   30: [19,12,2..6]" in text and "mask   11: [19,7,1..?]" in text
+
+
+def test_search_without_distances_adds_no_keys(capsys):
+    args = ["search", "-q", "7", "-n", "19", "--lam", "6", "--no-distances", "--format", "json"]
+    rc, out = run(capsys, args)
+    assert rc == 0
+    codes = [r for r in json_lines(out) if r["record"] == "code-record"]
+    assert codes and all(set(r) == SEARCH_KEYS and r["d"] is None for r in codes)
+    rc, text = run(capsys, args[:-2])
+    assert rc == 0
+    assert "[19,12,?]" in text and ".." not in text
+
+
 def test_verify_examples_subset(capsys):
     rc, out = run(
         capsys,

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -289,6 +291,12 @@ def test_min_distance_repetition():
         assert sum(1 for c in cert.witness if not c.is_zero()) == 9
 
 
+def test_min_distance_weight_above_255():
+    C = LinearCode.from_vectors(F5, 300, [tuple(F5.one for _ in range(300))])
+    for method in ("exhaustive", "info-set"):
+        assert min_distance(C, method=method).d == 300
+
+
 def test_min_distance_reference_code():
     cert = min_distance(C1)
     assert cert.d == 2 and cert.method == "exhaustive" and cert.work == 3**8
@@ -342,6 +350,24 @@ def test_min_distance_errors():
     with pytest.raises(BudgetExceeded) as exc:
         min_distance(big, budget=3, method="info-set")
     assert exc.value.lower == 1
+
+
+def test_min_distance_budget_bounds_memory():
+    """A 5^21-codeword enumeration stopped by its budget builds tables sized
+    by the budget, not by 5^k: no 5^10-row split table (about 200 MB)."""
+    C = ideal_from_element(AlgebraCtx(F5, 21, 4).one)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            min_distance(C, budget=10**5, method="exhaustive")
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.lower, exc.value.upper, exc.value.work) == (1, 1, 98_304)
+    assert elapsed < 1.0
+    assert peak < 8 * 2**20
 
 
 def test_certificate_dict():

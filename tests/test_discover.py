@@ -56,6 +56,23 @@ def test_records_serialize():
         assert isinstance(d["idempotent"], list)
 
 
+def test_records_carry_certificates_only_with_distances():
+    for r in enumerate_ideals(CTX1):
+        d = r.to_dict()
+        if r.k == 0:
+            assert "certificate" not in d
+            continue
+        assert d["d_lower"] == d["d_upper"] == r.d == r.certificate.d
+        assert d["certificate"] == {
+            "method": r.certificate.method,
+            "work": r.certificate.work,
+            "message_weight": r.certificate.message_weight,
+        }
+    for r in enumerate_ideals(CTX1, distances=False):
+        d = r.to_dict()
+        assert r.d is None and not {"d_lower", "d_upper", "certificate"} & set(d)
+
+
 def test_complementary_pair_structure():
     # e LCD iff 1 - e LCD, and the Euclidean dual of <e> is <1 - e>
     for ctx in (CTX1, AlgebraCtx(F5, 9, 4), AlgebraCtx(F9, 8, 2)):
