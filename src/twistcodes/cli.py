@@ -19,7 +19,8 @@ import json
 import os
 import sys
 from math import gcd
-from typing import Optional
+from functools import cache
+from typing import Callable, Optional
 
 from . import __version__
 from .codes import (
@@ -34,6 +35,7 @@ from .codes import (
 )
 from .discover import (
     BestKnownTable,
+    _mask_element,
     search_lcd,
     verify_reference_examples,
 )
@@ -98,15 +100,11 @@ def element_from_args(ctx: AlgebraCtx, args):
     if args.genpoly is not None:
         g = Poly(ctx.field, parse_elem_seq(ctx.field, args.genpoly))
         g = g % Poly.xn_minus(ctx.field, ctx.n, ctx.lam)
-        return ctx.elem(g.coeffs)
+        return ctx.from_indices(g.indices)
     prims = primitive_idempotents(ctx.field, ctx.n, ctx.lam, seed=args.seed)
     if not 0 <= args.mask < (1 << len(prims)):
         raise Error(f"mask {args.mask} out of range for {len(prims)} factors")
-    e = ctx.zero
-    for i, p in enumerate(prims):
-        if args.mask >> i & 1:
-            e = e + ctx.elem(p.coeffs)
-    return e
+    return _mask_element(ctx, prims, args.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +129,12 @@ class Emitter:
             items = " ".join(f"{k}={rec[k]}" for k in sorted(extra))
             print(f"# twistcodes {command} seed={args.seed} {items}".rstrip())
 
-    def record(self, rec: dict, human: str):
+    def record(self, rec: dict, human: Callable[[], str]):
+        """Print rec as JSON, or the line human() builds in table mode."""
         if self.fmt == "json":
             print(json.dumps(rec, sort_keys=True))
         else:
-            print(human)
+            print(human())
 
 
 def field_header(field: FieldSpec) -> dict:
@@ -160,7 +159,7 @@ def cmd_factor(args, out: Emitter) -> int:
     for i, f in enumerate(factors):
         out.record(
             {"record": "factor", "index": i, "degree": f.degree, "coeffs": f.ser()},
-            f"factor {i}: {f}",
+            lambda: f"factor {i}: {f}",
         )
     return 0
 
@@ -170,10 +169,10 @@ def cmd_idempotents(args, out: Emitter) -> int:
     out.header("idempotents", args, **field_header(ctx.field), n=ctx.n, lam=str(ctx.lam))
     prims = primitive_idempotents(ctx.field, ctx.n, ctx.lam, seed=args.seed)
     for i, p in enumerate(prims):
-        e = ctx.elem(p.coeffs)
+        e = ctx.from_indices(p.indices)
         out.record(
             {"record": "idempotent", "index": i, "coeffs": e.ser()},
-            f"e_{i} = {e}",
+            lambda: f"e_{i} = {e}",
         )
     return 0
 
@@ -185,7 +184,7 @@ def cmd_code(args, out: Emitter) -> int:
     C = ideal_from_element(e)
     out.record(
         {"record": "code", **C.to_dict(), "generator": e.ser()},
-        f"[{C.n},{C.k}] code over GF({ctx.field.q}), generator {e}\n{fmt_rows(C)}",
+        lambda: f"[{C.n},{C.k}] code over GF({ctx.field.q}), generator {e}\n{fmt_rows(C)}",
     )
     return 0
 
@@ -202,7 +201,7 @@ def cmd_dual(args, out: Emitter) -> int:
     shift_const = (ctx.lam.frobenius((m - k) % m)).inverse()
     out.record(
         {"record": "dual", "galois_k": k, **D.to_dict(), "shift_constant": shift_const.ser()},
-        f"{k}-Galois dual: [{D.n},{D.k}] code, {shift_const}-constacyclic\n{fmt_rows(D)}",
+        lambda: f"{k}-Galois dual: [{D.n},{D.k}] code, {shift_const}-constacyclic\n{fmt_rows(D)}",
     )
     return 0
 
@@ -225,13 +224,13 @@ def cmd_distance(args, out: Emitter) -> int:
                 "upper": exc.upper,
                 "work": exc.work,
             },
-            f"budget exceeded: {exc.lower} <= d <= {exc.upper}, work {exc.work}",
+            lambda: f"budget exceeded: {exc.lower} <= d <= {exc.upper}, work {exc.work}",
         )
         return 1
-    wit = " ".join(str(c) for c in cert.witness)
     out.record(
         {"record": "distance", **cert.to_dict()},
-        f"[{C.n},{C.k},{cert.d}] via {cert.method}, work {cert.work}, witness ({wit})",
+        lambda: f"[{C.n},{C.k},{cert.d}] via {cert.method}, work {cert.work}, "
+        f"witness ({' '.join(str(c) for c in cert.witness)})",
     )
     return 0
 
@@ -262,7 +261,8 @@ def cmd_lcd_check(args, out: Emitter) -> int:
             "idempotent_lcd": idem,
             "agree": agree,
         },
-        f"[{C.n},{C.k}]: subspace criterion {sub}, idempotent criterion {why}, agree: {agree}",
+        lambda: f"[{C.n},{C.k}]: subspace criterion {sub}, "
+        f"idempotent criterion {why}, agree: {agree}",
     )
     return 0 if agree else 1
 
@@ -281,7 +281,8 @@ def cmd_equiv(args, out: Emitter) -> int:
             "equivalent": w is not None,
             "witness": None if w is None else w.ser(),
         },
-        f"witness a = {w} with lam = a^{args.n} * beta" if w is not None else "inequivalent",
+        lambda: "inequivalent" if w is None
+        else f"witness a = {w} with lam = a^{args.n} * beta",
     )
     return 0
 
@@ -292,7 +293,7 @@ def cmd_h2(args, out: Emitter) -> int:
     count, reps = norm_image_classes(field, args.n)
     out.record(
         {"record": "h2", "classes": count, "representatives": [r.ser() for r in reps]},
-        f"{count} classes; representatives: " + ", ".join(str(r) for r in reps),
+        lambda: f"{count} classes; representatives: " + ", ".join(str(r) for r in reps),
     )
     return 0
 
@@ -326,7 +327,7 @@ def cmd_search(args, out: Emitter) -> int:
             d = f"{rec.d_lower}..{rec.d_upper if rec.d_upper is not None else '?'}"
         out.record(
             {"record": "code-record", **rec.to_dict()},
-            f"mask {rec.subset_mask:>4}: [{rec.n},{rec.k},{d}] verdict={rec.verdict} "
+            lambda: f"mask {rec.subset_mask:>4}: [{rec.n},{rec.k},{d}] verdict={rec.verdict} "
             f"e = {rec.idempotent}",
         )
     if uncertified:
@@ -348,16 +349,16 @@ def cmd_verify_examples(args, out: Emitter) -> int:
                     "passed": c.passed,
                     "detail": c.detail,
                 },
-                f"[{'pass' if c.passed else 'FAIL'}] {ex.name}: {c.label}"
+                lambda: f"[{'pass' if c.passed else 'FAIL'}] {ex.name}: {c.label}"
                 + (f" ({c.detail})" if c.detail else ""),
             )
         out.record(
             {"record": "example-summary", "example": ex.name, "passed": ex.passed},
-            f"{'PASS' if ex.passed else 'FAIL'}  {ex.name}",
+            lambda: f"{'PASS' if ex.passed else 'FAIL'}  {ex.name}",
         )
     out.record(
         {"record": "summary", "passed": report.passed},
-        f"overall: {'PASS' if report.passed else 'FAIL'}",
+        lambda: f"overall: {'PASS' if report.passed else 'FAIL'}",
     )
     return 0 if report.passed else 1
 
@@ -384,7 +385,9 @@ def _add_element_opts(p: argparse.ArgumentParser):
     p.add_argument("--mask", type=int, help="subset mask over the primitive idempotents")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every main call."""
     ap = argparse.ArgumentParser(
         prog="twistcodes",
         description="constacyclic codes as ideals of twisted group algebras",

@@ -241,8 +241,8 @@ def generator_poly(C: LinearCode, ctx: AlgebraCtx) -> Poly:
     if not is_lambda_constacyclic(C, ctx.lam):
         raise NotConstacyclic(f"code is not {ctx.lam}-constacyclic")
     g = Poly.xn_minus(ctx.field, ctx.n, ctx.lam)
-    for row in C.basis():
-        g = g.gcd(Poly(ctx.field, row))
+    for row in C.gen.tolist():
+        g = g.gcd(Poly.from_indices(ctx.field, row))
     return g
 
 
@@ -259,8 +259,7 @@ def idempotent_generator(C: LinearCode, ctx: AlgebraCtx) -> AlgElem:
     h = modulus // g
     d, u, _ = g.xgcd(h)
     assert d.is_one(), "generator and cogenerator must be coprime in a semisimple ring"
-    e = (u * g) % modulus
-    return ctx.elem(e.coeffs)
+    return ctx.from_indices(((u * g) % modulus).indices)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .errors import (
     TooManyFactors,
 )
 from .gf import GF, FieldElem
-from .poly import primitive_idempotents
+from .poly import Poly, primitive_idempotents
 from .talg import AlgebraCtx, AlgElem, elem_mul, involution_star
 
 MAX_FACTORS = 24
@@ -157,6 +157,15 @@ def _verdict(d: Optional[int], best: Optional[int]) -> Verdict:
     return Verdict("suboptimal", best - d)
 
 
+def _mask_element(ctx: AlgebraCtx, prims: Sequence[Poly], mask: int) -> AlgElem:
+    """The sum of the primitive idempotents whose bits the mask sets."""
+    e = Poly.zero(ctx.field)
+    for i, p in enumerate(prims):
+        if mask >> i & 1:
+            e = e + p
+    return ctx.from_indices(e.indices)
+
+
 def iter_ideal_codes(
     ctx: AlgebraCtx, seed: int = 0, max_factors: int = MAX_FACTORS
 ) -> Iterator[tuple[int, AlgElem, LinearCode]]:
@@ -167,16 +176,8 @@ def iter_ideal_codes(
     r = len(prims)
     if r > max_factors:
         raise TooManyFactors(f"{r} irreducible factors exceed the limit {max_factors}")
-    prim_elems = [ctx.elem(p.coeffs) for p in prims]
     for mask in range(1 << r):
-        e = ctx.zero
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                e = e + prim_elems[i]
-            m >>= 1
-            i += 1
+        e = _mask_element(ctx, prims, mask)
         yield mask, e, ideal_from_element(e)
 
 

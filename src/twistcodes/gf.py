@@ -12,12 +12,13 @@ applies it to all pairs, a block of rows at a time, and keeps full
 operation tables (numpy arrays for the matrix and distance kernels in
 :mod:`twistcodes.codes`, and their python-list copies for scalar work);
 inverse and Frobenius are read from the multiplication table.  Above
-256 every operation is computed per call: addition and negation
-digitwise, products by the same multiplication on a single pair, and
-inverse and Frobenius as powers.  Prime fields work with integers mod p
-throughout.  The modulus search and validation use
-:func:`twistcodes.poly.is_irreducible` over GF(p); each seeded search
-runs once per process.
+256 every operation is computed per call (addition and negation
+digitwise, products by the same multiplication on a single pair,
+inverse by extended Euclid over GF(p), Frobenius as a power), and the
+list tables become stand-ins that compute an entry when it is read.
+Prime fields work with integers mod p throughout.  The modulus search
+and validation use :mod:`twistcodes.poly` over GF(p); each seeded
+search runs once per process.
 
 Fields are immutable after construction and safe to share; all element
 operations are pure.
@@ -26,7 +27,7 @@ operations are pure.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from typing import Optional, Sequence, Union
 
@@ -74,24 +75,29 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def _is_irreducible(Fp: "FieldSpec", coeffs: Sequence[int]) -> bool:
-    """Irreducibility over the prime field Fp of the little-endian coeffs."""
+@lru_cache(maxsize=None)
+def _prime_field(p: int) -> "FieldSpec":
+    """GF(p), shared within the process: fields are immutable."""
+    return FieldSpec(p)
+
+
+def _is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
+    """Irreducibility over GF(p) of the monic little-endian coeffs, degree >= 2."""
     from .poly import Poly, is_irreducible  # poly imports gf
 
-    return is_irreducible(Poly.from_ints(Fp, coeffs))
+    return is_irreducible(Poly.from_indices(_prime_field(p), coeffs))
 
 
 @lru_cache(maxsize=None)
 def _find_irreducible(p: int, m: int, seed: int) -> tuple[int, ...]:
     """Seeded random search for a monic irreducible of degree m over GF(p);
     a pure function of its arguments, so each search runs once per process."""
-    Fp = FieldSpec(p)
     rng = random.Random(seed * 0x9E3779B1 + p * 1315423911 + m)
     while True:
         coeffs = [rng.randrange(p) for _ in range(m)] + [1]
         if coeffs[0] == 0:
             continue  # x | f, never irreducible for m > 1
-        if _is_irreducible(Fp, coeffs):
+        if _is_irreducible(p, coeffs):
             return tuple(coeffs)
 
 
@@ -104,6 +110,12 @@ def _power(x, e: int, one, mul):
         x = mul(x, x)
         e >>= 1
     return acc
+
+
+class _OnDemand(partial):
+    """A read-only table computed when read: t[i] calls the partial with i."""
+
+    __getitem__ = partial.__call__
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +145,7 @@ class FieldElem:
 
     def __sub__(self, other):
         self._check(other)
-        return self.field.from_index(
-            self.field.add_index(self.index, self.field.neg_index(other.index))
-        )
+        return self + (-other)
 
     def __neg__(self):
         return self.field.from_index(self.field.neg_index(self.index))
@@ -233,21 +243,25 @@ class FieldSpec:
                 raise DegreeMismatch(
                     f"modulus must be monic of degree {m}, got {list(modulus)}"
                 )
-            if m > 1 and not _is_irreducible(FieldSpec(p), mod):
+            if m > 1 and not _is_irreducible(p, mod):
                 raise ReducibleModulus(f"modulus {mod} is reducible over GF({p})")
             self.modulus = tuple(mod)
 
         self._reduction = self._reduction_rows() if m > 1 else None
-        self._elems: Optional[list[FieldElem]] = None
-        self._add = self._mul = self._neg = self._inv = self._frob = None
         self.np_add = self.np_mul = self.np_neg = self.np_inv = self.np_frob = None
         if self.q <= TABLE_LIMIT:
             self._build_tables()
+        else:
+            # the tables' lookups, each computed when read, so that the
+            # polynomial loops keep one path whatever the field size
+            self._add = _OnDemand(_OnDemand, self.add_index)  # _add[i] is a row
+            self._mul = _OnDemand(_OnDemand, self.mul_index)
+            self._neg, self._inv = _OnDemand(self.neg_index), _OnDemand(self.inv_index)
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldSpec)
             and self.p == other.p
             and self.m == other.m
@@ -279,7 +293,7 @@ class FieldSpec:
         return idx
 
     def add_index(self, i: int, j: int) -> int:
-        if self._add is not None:
+        if self.q <= TABLE_LIMIT:
             return self._add[i][j]
         if self.m == 1:
             return (i + j) % self.p
@@ -287,50 +301,48 @@ class FieldSpec:
         return self._index_of([(x + y) % self.p for x, y in zip(a, b)])
 
     def neg_index(self, i: int) -> int:
-        if self._neg is not None:
+        if self.q <= TABLE_LIMIT:
             return self._neg[i]
         if self.m == 1:
             return (-i) % self.p
         return self._index_of([(-c) % self.p for c in self._coeffs_of(i)])
 
     def mul_index(self, i: int, j: int) -> int:
-        if self._mul is not None:
+        if self.q <= TABLE_LIMIT:
             return self._mul[i][j]
         if self.m == 1:
             return (i * j) % self.p
         if i <= 1 or j <= 1:  # indices 0 and 1 are zero and one
             return i * j
-        return self._index_of(
-            self._mul_digits(self._digit_array(i), self._digit_array(j)).tolist()
-        )
+        a, b = (np.array(self._coeffs_of(k), dtype=np.int64) for k in (i, j))
+        return self._index_of(self._mul_digits(a, b).tolist())
 
     def pow_index(self, i: int, e: int) -> int:
         """Index of x^e for the element of index i; e >= 0."""
         if self.m == 1:
             return pow(i, e, self.p)
-        if self._mul is not None:
-            mul = self._mul
-            return _power(i, e, 1, lambda a, b: mul[a][b])
-        x = _power(self._digit_array(i), e, self._digit_array(1), self._mul_digits)
-        return self._index_of(x.tolist())
+        mul = self._mul
+        return _power(i, e, 1, lambda a, b: mul[a][b])
 
     def inv_index(self, i: int) -> int:
         if i == 0:
             raise ZeroDivisionError("zero has no inverse")
-        if self._inv is not None:
+        if self.q <= TABLE_LIMIT:
             return self._inv[i]
-        return self.pow_index(i, self.q - 2)
+        if self.m == 1:
+            return self.pow_index(i, self.q - 2)
+        # extended Euclid over GF(p): the cofactor of i against the modulus
+        from .poly import Poly  # poly imports gf
+
+        Fp = _prime_field(self.p)
+        u = Poly.from_indices(Fp, self._coeffs_of(i)).xgcd(Poly.from_indices(Fp, self.modulus))[1]
+        return self._index_of(u.indices)
 
     def frob_index(self, i: int) -> int:
         """Index of x^p for the element of index i."""
-        if self._frob is not None:
+        if self.q <= TABLE_LIMIT:
             return self._frob[i]
-        if self.m == 1:
-            return i
-        return self.pow_index(i, self.p)
-
-    def _digit_array(self, i: int) -> np.ndarray:
-        return np.array(self._coeffs_of(i), dtype=np.int64)
+        return self.pow_index(i, self.p)  # i^p = i for m = 1
 
     def _mul_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Products of base-p digit arrays a and b, which broadcast over
@@ -375,15 +387,12 @@ class FieldSpec:
         self._add, self._mul, self._neg, self._inv, self._frob = (
             t.tolist() for t in (add, mul, neg, inv, frob)
         )
-        self._elems = [FieldElem(self, i) for i in range(q)]
 
     # -- element constructors ------------------------------------------------
 
     def from_index(self, i: int) -> FieldElem:
         if not 0 <= i < self.q:
             raise ValueError(f"element index {i} out of range for GF({self.q})")
-        if self._elems is not None:
-            return self._elems[i]
         return FieldElem(self, i)
 
     def element(self, x: Union[int, Sequence[int], FieldElem]) -> FieldElem:
@@ -410,14 +419,6 @@ class FieldSpec:
     @property
     def one(self) -> FieldElem:
         return self.from_index(1)
-
-    def elements(self):
-        """All q elements in index order."""
-        return [self.from_index(i) for i in range(self.q)]
-
-    def units(self):
-        """All nonzero elements in index order."""
-        return [self.from_index(i) for i in range(1, self.q)]
 
     def to_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}

@@ -1,12 +1,13 @@
 """Univariate polynomials over GF(q), factorization of x^n - lambda, and
 the primitive CRT idempotents of F_q[x]/(x^n - lambda).
 
-Coefficients are stored little-endian as FieldElem tuples; the zero
-polynomial is the empty tuple and the leading stored coefficient is
-always nonzero.  Factorization runs distinct-degree factorization
-followed by Cantor-Zassenhaus equal-degree splitting with a seeded RNG,
-and the factor list is sorted by (degree, coefficient indices) so every
-downstream enumeration order is reproducible.
+Coefficients are stored little-endian as a tuple of integer field
+indices, trimmed so the leading one is nonzero; FieldElem appears only
+at the boundary.  Each operation binds the field's operation tables once
+and loops over indices.  Factorization runs distinct-degree
+factorization followed by Cantor-Zassenhaus equal-degree splitting with
+a seeded RNG, and the factor list is sorted by (degree, coefficient
+indices) so every downstream enumeration order is reproducible.
 """
 
 from __future__ import annotations
@@ -27,67 +28,76 @@ from .gf import FieldElem, FieldSpec, prime_factors
 class Poly:
     """A polynomial over a FieldSpec."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "indices")
 
     def __init__(self, field: FieldSpec, coeffs: Sequence[FieldElem]):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.indices = Poly.from_indices(field, [field.element(c).index for c in coeffs]).indices
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def from_indices(cls, field: FieldSpec, indices: Sequence[int]) -> "Poly":
+        """Coefficients given as field indices, little-endian."""
+        cs = list(indices)
+        while cs and not cs[-1]:
+            cs.pop()
+        p = cls.__new__(cls)
+        p.field = field
+        p.indices = tuple(cs)
+        return p
+
+    @classmethod
     def zero(cls, field: FieldSpec) -> "Poly":
-        return cls(field, ())
+        return cls.from_indices(field, ())
 
     @classmethod
     def one(cls, field: FieldSpec) -> "Poly":
-        return cls(field, (field.one,))
+        return cls.from_indices(field, (1,))
 
     @classmethod
     def x(cls, field: FieldSpec) -> "Poly":
-        return cls(field, (field.zero, field.one))
+        return cls.from_indices(field, (0, 1))
 
     @classmethod
     def from_ints(cls, field: FieldSpec, ints: Sequence[int]) -> "Poly":
         """Coefficients given as prime-subfield integers."""
-        return cls(field, [field.element(c) for c in ints])
+        return cls(field, ints)
 
     @classmethod
     def xn_minus(cls, field: FieldSpec, n: int, lam: FieldElem) -> "Poly":
-        """x^n - lam."""
-        cs = [field.zero] * (n + 1)
-        cs[0] = -lam
-        cs[n] = field.one
-        return cls(field, cs)
+        """x^n - lam, for n >= 1."""
+        return cls.from_indices(field, [(-field.element(lam)).index] + [0] * (n - 1) + [1])
 
     # -- basics ---------------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[FieldElem, ...]:
+        return tuple(map(self.field.from_index, self.indices))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.indices) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.indices
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
+        return self.indices == (1,)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        return bool(self.indices) and self.indices[-1] == 1
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.indices == other.indices
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.indices))
 
     def _check(self, other: "Poly"):
         if not isinstance(other, Poly) or other.field != self.field:
@@ -95,63 +105,61 @@ class Poly:
 
     def key(self) -> tuple:
         """Deterministic sort key: (degree, coefficient indices)."""
-        return (self.degree, tuple(c.index for c in self.coeffs))
+        return (self.degree, self.indices)
 
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.indices, other.indices
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
+        ADD = self.field._add
+        return Poly.from_indices(self.field, [ADD[x][y] for x, y in zip(a, b)] + list(a[len(b) :]))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, [-c for c in self.coeffs])
+        NEG = self.field._neg
+        return Poly.from_indices(self.field, [NEG[x] for x in self.indices])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        F = self.field
-        out_idx = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai.index == 0:
-                continue
-            for j, bj in enumerate(other.coeffs):
-                if bj.index:
-                    out_idx[i + j] = F.add_index(
-                        out_idx[i + j], F.mul_index(ai.index, bj.index)
-                    )
-        return Poly(F, [F.from_index(i) for i in out_idx])
+        F, a, b = self.field, self.indices, other.indices
+        if not a or not b:
+            return Poly.zero(F)
+        ADD, MUL = F._add, F._mul
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                row, j = MUL[x], i + len(b)
+                out[i:j] = [ADD[o][row[y]] for o, y in zip(out[i:j], b)]
+        return Poly.from_indices(F, out)
 
-    def scale(self, c: FieldElem) -> "Poly":
-        return Poly(self.field, [a * c for a in self.coeffs])
+    def _scale(self, c: int) -> "Poly":
+        row = self.field._mul[c]
+        return Poly.from_indices(self.field, [row[x] for x in self.indices])
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = other.coeffs[-1].inverse()
-        q = [F.zero] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            coef = rem[-1] * inv_lead
-            shift = len(rem) - 1 - db
-            q[shift] = coef
-            for i, bc in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - coef * bc
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return Poly(F, q), Poly(F, rem)
+        F, a, db = self.field, self.indices, other.degree
+        if len(a) <= db:
+            return Poly.zero(F), self
+        ADD, MUL, NEG = F._add, F._mul, F._neg
+        inv_lead = F._inv[other.indices[-1]]
+        nb = [NEG[y] for y in other.indices[:db]]  # the divisor below its lead, negated
+        r = list(a)
+        q = [0] * (len(a) - db)
+        for s in range(len(a) - 1 - db, -1, -1):
+            c = r[s + db]
+            if c:
+                c = q[s] = MUL[c][inv_lead]
+                row = MUL[c]
+                r[s : s + db] = [ADD[x][row[y]] for x, y in zip(r[s : s + db], nb)]
+        return Poly.from_indices(F, q), Poly.from_indices(F, r[:db])
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -162,7 +170,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic:
             return self
-        return self.scale(self.coeffs[-1].inverse())
+        return self._scale(self.field._inv[self.indices[-1]])
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor."""
@@ -178,22 +186,23 @@ class Poly:
         F = self.field
         r0, r1 = self, other
         s0, s1 = Poly.one(F), Poly.zero(F)
-        t0, t1 = Poly.zero(F), Poly.one(F)
         while not r1.is_zero():
             q, r = divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
-            return r0, s0, t0
-        lead_inv = r0.coeffs[-1].inverse()
-        return r0.scale(lead_inv), s0.scale(lead_inv), t0.scale(lead_inv)
+        if not r0.is_zero():
+            lead_inv = F._inv[r0.indices[-1]]
+            r0, s0 = r0._scale(lead_inv), s0._scale(lead_inv)
+        # v follows from u: it is the exact quotient (d - u*self) / other
+        return r0, s0, Poly.zero(F) if other.is_zero() else (r0 - s0 * self) // other
 
     def eval(self, x: FieldElem) -> FieldElem:
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        F = self.field
+        ADD, row = F._add, F._mul[F.element(x).index]
+        acc = 0
+        for c in reversed(self.indices):
+            acc = ADD[row[acc]][c]
+        return F.from_index(acc)
 
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
         """self^e reduced modulo mod; e >= 0 (supports big integers)."""
@@ -209,26 +218,30 @@ class Poly:
         return result
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if i == 0:
-                terms.append(cs)
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                terms.append(xs if cs == "1" else f"{cs}{xs}")
-        return " + ".join(terms)
+        return _terms(self.coeffs, "x")
 
     def __repr__(self):
         return f"Poly({self.field!r}, {self})"
 
     def ser(self) -> list:
-        return [c.ser() for c in self.coeffs]
+        """FieldElem.ser of each coefficient: residues, or coordinate lists."""
+        F = self.field
+        return list(self.indices) if F.m == 1 else [F._coeffs_of(i) for i in self.indices]
+
+
+def _terms(coeffs: Sequence[FieldElem], var: str) -> str:
+    """Highest power first, without zero terms or unit coefficients; "0" if empty."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        if coeffs[i].is_zero():
+            continue
+        cs = str(coeffs[i])
+        if i == 0:
+            terms.append(cs)
+        else:
+            xs = var if i == 1 else f"{var}^{i}"
+            terms.append(xs if cs == "1" else f"{cs}{xs}")
+    return " + ".join(terms) if terms else "0"
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -288,7 +301,7 @@ def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     F = f.field
     q, p, m = F.q, F.p, F.m
     while True:
-        r = Poly(F, [F.from_index(rng.randrange(q)) for _ in range(f.degree)])
+        r = Poly.from_indices(F, [rng.randrange(q) for _ in range(f.degree)])
         if r.is_zero() or r.degree < 1:
             continue
         g = r.gcd(f)
@@ -299,7 +312,7 @@ def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
             s = Poly.zero(F)
             t = r % f
             for _ in range(m * d):
-                s = (s + t) % f
+                s = s + t
                 t = (t * t) % f
             g = s.gcd(f)
         else:
@@ -307,7 +320,7 @@ def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
             g = (s - Poly.one(F)).gcd(f)
         if not g.is_one() and g.degree < f.degree:
             break
-    return _edf(g.monic(), d, rng) + _edf((f // g).monic(), d, rng)
+    return _edf(g, d, rng) + _edf(f // g, d, rng)
 
 
 def factor_xn_minus_lambda(
@@ -333,7 +346,7 @@ def factor_xn_minus_lambda(
     )
     factors: list[Poly] = []
     for part, d in _ddf(f):
-        factors.extend(_edf(part.monic(), d, rng))
+        factors.extend(_edf(part, d, rng))
     factors.sort(key=Poly.key)
     return factors
 
@@ -352,7 +365,7 @@ def primitive_idempotents(
     out = []
     for fi in factors:
         hi = modulus // fi
-        d, u, _ = hi.xgcd(fi)
+        d, u, _ = (hi % fi).xgcd(fi)
         assert d.is_one(), "factors of a squarefree polynomial must be coprime"
         out.append((u * hi) % modulus)
     return out

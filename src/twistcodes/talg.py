@@ -24,6 +24,7 @@ from .errors import (
     ZeroLambda,
 )
 from .gf import FieldElem, FieldSpec, nth_power_witness
+from .poly import Poly, _terms
 
 MAX_N = 255
 
@@ -74,17 +75,22 @@ class AlgebraCtx:
         """Element from a coefficient sequence (index i = gbar^i), padded
         with zeros up to length n.  Entries may be FieldElem, prime-subfield
         ints, or coordinate lists."""
-        cs = [self.field.element(c) for c in coeffs]
-        if len(cs) > self.n:
-            raise LengthMismatch(f"{len(cs)} coefficients for n = {self.n}")
-        cs += [self.field.zero] * (self.n - len(cs))
-        return AlgElem(self, tuple(cs))
+        return self.from_indices([self.field.element(c).index for c in coeffs])
+
+    def from_indices(self, indices: Sequence[int]) -> "AlgElem":
+        """Element from field indices (index i = gbar^i), padded with zeros
+        up to length n."""
+        if len(indices) > self.n:
+            raise LengthMismatch(f"{len(indices)} coefficients for n = {self.n}")
+        F = self.field
+        cs = [F.from_index(i) for i in indices]
+        return AlgElem(self, tuple(cs + [F.zero] * (self.n - len(cs))))
 
     def elem_from_dict(self, terms: dict[int, int]) -> "AlgElem":
-        cs = [self.field.zero] * self.n
+        cs = [0] * self.n
         for i, c in terms.items():
-            cs[i] = self.field.element(c)
-        return AlgElem(self, tuple(cs))
+            cs[i] = c
+        return self.elem(cs)
 
     @property
     def zero(self) -> "AlgElem":
@@ -98,9 +104,7 @@ class AlgebraCtx:
         """gbar^i."""
         if not 0 <= i < self.n:
             raise ExponentOutOfRange(f"basis exponent {i} outside 0..{self.n - 1}")
-        cs = [self.field.zero] * self.n
-        cs[i] = self.field.one
-        return AlgElem(self, tuple(cs))
+        return self.from_indices([0] * i + [1])
 
     @property
     def gbar(self) -> "AlgElem":
@@ -161,9 +165,6 @@ class AlgElem:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def is_idempotent(self) -> bool:
-        return elem_mul(self, self) == self
-
     def weight(self) -> int:
         """Hamming weight of the coefficient sequence."""
         return sum(1 for c in self.coeffs if not c.is_zero())
@@ -175,48 +176,25 @@ class AlgElem:
         return [c.ser() for c in self.coeffs]
 
     def __str__(self):
-        terms = []
-        for i in range(self.ctx.n - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if i == 0:
-                terms.append(cs)
-            else:
-                g = "ḡ" if i == 1 else f"ḡ^{i}"
-                terms.append(g if cs == "1" else f"{cs}{g}")
-        return " + ".join(terms) if terms else "0"
+        return _terms(self.coeffs, "ḡ")
 
     def __repr__(self):
         return f"<{self} in {self.ctx!r}>"
 
 
 def elem_mul(a: AlgElem, b: AlgElem) -> AlgElem:
-    """Twisted cyclic convolution: products past gbar^(n-1) wrap with a
-    factor of lam."""
+    """Twisted cyclic convolution: the polynomial product, with the part
+    past gbar^(n-1) folded back times lam."""
     if a.ctx != b.ctx:
         raise CtxMismatch("elements of different twisted group algebras")
     ctx = a.ctx
-    F = ctx.field
-    n = ctx.n
-    lam_idx = ctx.lam.index
-    out = [0] * n
-    ac = [c.index for c in a.coeffs]
-    bc = [c.index for c in b.coeffs]
-    for i, ai in enumerate(ac):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(bc):
-            if bj == 0:
-                continue
-            t = F.mul_index(ai, bj)
-            k = i + j
-            if k >= n:
-                k -= n
-                t = F.mul_index(t, lam_idx)
-            out[k] = F.add_index(out[k], t)
-    return AlgElem(ctx, tuple(F.from_index(i) for i in out))
+    F, n = ctx.field, ctx.n
+    pa, pb = (Poly.from_indices(F, [c.index for c in x.coeffs]) for x in (a, b))
+    prod = (pa * pb).indices
+    low, high = list(prod[:n]), prod[n:]
+    ADD, row = F._add, F._mul[ctx.lam.index]
+    low[: len(high)] = [ADD[x][row[y]] for x, y in zip(low, high)]
+    return ctx.from_indices(low)
 
 
 def involution_star(a: AlgElem) -> AlgElem:

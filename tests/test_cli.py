@@ -292,6 +292,34 @@ def test_lcd_check_not_semisimple(capsys):
     assert "idempotent criterion n/a (p divides n)" in out
 
 
+def _fresh_process(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistcodes.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_one_process_matches_fresh_processes(capsys):
+    from twistcodes.cli import build_parser
+
+    build_parser.cache_clear()
+    argvs = [
+        ["verify-examples", "--example", "GF(3), n=10", "--format", "json"],
+        ["verify-examples", "--example", "GF(5), n=9"],
+        ["idempotents", "-q", "4", "-n", "9", "--lam", "1", "--seed", "2"],
+        ["code", "-q", "3", "-n", "10", "--lam", "2", "--genpoly", "1,0,1", "--format", "json"],
+        ["factor", "-q", "9", "-n", "6", "--lam", "1"],  # domain error, exit 2
+        ["distance", "-q", "3", "-n", "10", "--lam", "2", "--mask", "5"],
+    ]
+    for argv in argvs:
+        rc, out = run(capsys, argv)
+        assert (rc, out) == _fresh_process(argv), argv
+    assert build_parser.cache_info().misses == 1  # one parser served every call
+
+
 def test_closed_stdout_pipe_no_traceback():
     # like `twistcodes factor ... | head -1`, with the reader gone before any output
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -183,6 +183,17 @@ def test_fields_beyond_table_limit():
     assert t == b
 
 
+@pytest.mark.parametrize("q", [729, 2187, 257**2])
+def test_inverse_above_table_limit(q):
+    # extended Euclid against the modulus must agree with x^(q-2)
+    F = GF(q)
+    rng = random.Random(q)
+    for i in [1, 2, F.p, q - 1] + [rng.randrange(1, q) for _ in range(40)]:
+        inv = F.inv_index(i)
+        assert inv == F.pow_index(i, q - 2)
+        assert F.mul_index(i, inv) == 1
+
+
 # Moduli chosen by the seeded search; pinned so the search keeps its RNG stream
 # and acceptance rule, and every serialized field stays byte-identical.
 FROZEN_MODULI = {

@@ -136,6 +136,34 @@ def test_factor_xn_minus_lambda(F, n, lam, degrees):
     assert factors == factor_xn_minus_lambda(F, n, lam)
 
 
+def _root_orbit_sizes(q, n, r):
+    """Sizes of the orbits of s -> q*s on {1 + r*j mod r*n}: the roots of
+    x^n - lam are w^s for w a primitive rn-th root of unity, r = ord(lam)."""
+    seen, sizes = set(), []
+    for j in range(n):
+        s, size = (1 + r * j) % (r * n), 0
+        while s not in seen:
+            seen.add(s)
+            s, size = s * q % (r * n), size + 1
+        if size:
+            sizes.append(size)
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize(
+    "q,n,lam",
+    [(7, 255, 1), (2, 255, 1), (3, 10, 2), (5, 21, 4), (7, 19, 3), (9, 20, (0, 1)),
+     (4, 21, (0, 1)), (25, 24, (2, 1)), (8, 9, (1, 1, 0)), (11, 30, 2), (16, 17, (0, 0, 1))],
+)
+def test_factor_degrees_are_root_orbits(q, n, lam):
+    F = GF(q)
+    lam = F.element(lam)
+    r = next(k for k in range(1, q) if (lam**k).index == 1)
+    factors = factor_xn_minus_lambda(F, n, lam)
+    assert sorted(f.degree for f in factors) == _root_orbit_sizes(q, n, r)
+    assert all(f.is_monic for f in factors)
+
+
 def test_n_one_factor():
     assert factor_xn_minus_lambda(F5, 1, F5.element(4)) == [Poly.from_ints(F5, [1, 1])]
 

@@ -91,6 +91,35 @@ def test_mul_associative_commutative():
             assert a * (b + c) == a * b + a * c
 
 
+def _elem_mul_double_loop(a, b):
+    """The twisted convolution term by term, wrapping past gbar^(n-1) with lam."""
+    ctx = a.ctx
+    F, n = ctx.field, ctx.n
+    out = [0] * n
+    for i, x in enumerate(c.index for c in a.coeffs):
+        for j, y in enumerate(c.index for c in b.coeffs):
+            t = F.mul_index(x, y)
+            if i + j >= n:
+                t = F.mul_index(t, ctx.lam.index)
+            out[(i + j) % n] = F.add_index(out[(i + j) % n], t)
+    return tuple(F.from_index(i) for i in out)
+
+
+@pytest.mark.parametrize(
+    "q,n,lam",
+    [(3, 10, 2), (5, 9, 4), (7, 6, 3), (9, 8, (1, 1)), (4, 5, (0, 1)), (2, 7, 1),
+     (5, 1, 3), (9, 1, (2, 1)), (257, 4, 3), (729, 3, (1, 2))],
+)
+def test_elem_mul_matches_double_loop(q, n, lam):
+    ctx = AlgebraCtx(GF(q), n, lam)
+    rng = random.Random(q * 1000 + n)
+    for _ in range(30):
+        a, b = rand_elem(ctx, rng), rand_elem(ctx, rng)
+        if rng.random() < 0.3:  # sparse operands, zero included
+            a = ctx.elem([c if rng.random() < 0.3 else 0 for c in a.coeffs])
+        assert elem_mul(a, b).coeffs == _elem_mul_double_loop(a, b)
+
+
 def test_ctx_mismatch():
     other = AlgebraCtx(F3, 10, 1)
     with pytest.raises(CtxMismatch):
