@@ -385,6 +385,17 @@ def _add_element_opts(p: argparse.ArgumentParser):
     p.add_argument("--mask", type=int, help="subset mask over the primitive idempotents")
 
 
+def _budget(text: str) -> int:
+    """A --budget value: a whole number of messages, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared by every main call."""
@@ -416,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="certified minimum distance")
     _add_ctx_opts(p)
     _add_element_opts(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.add_argument("--method", choices=("auto", "exhaustive", "info-set"), default="auto")
     p.set_defaults(run=cmd_distance)
 
@@ -441,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate LCD ideals, best first")
     _add_ctx_opts(p)
     p.add_argument("--galois", type=int, default=0, metavar="K")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.add_argument("--table", help=f"best-known table path (default ${ENV_TABLE} or bundled)")
     p.add_argument("--no-distances", action="store_true")
     p.add_argument("--min-dim", type=int, default=0)
@@ -450,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-examples", help="re-derive the bundled reference examples")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.add_argument(
         "--example",
         action="append",

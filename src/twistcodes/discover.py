@@ -2,11 +2,15 @@
 
 Every ideal of the semisimple quotient is generated by a unique sum of
 primitive idempotents, so the 2^r subset masks over the ordered factor
-list walk the whole lattice.  Records carry the code parameters, both
-LCD verdicts (subspace intersection and the idempotent criterion, which
-must agree when lam^2 = 1), and a comparison against a best-known-codes
-table.  A built-in verifier replays four bundled reference examples of
-good LCD codes end to end.
+list walk the whole lattice.  LCD has three derivations: subspace
+intersection, the idempotent criterion (when lam^2 = 1), and the orbits
+of Frobenius o reciprocal on the factors (when lam^(1 + p^(m-k)) = 1;
+otherwise every ideal is LCD).  `enumerate_ideals` builds every code and
+decides by intersection; `search_lcd` decides by the orbits, visits only
+the LCD masks, and checks each record by one of the other two.  Records
+carry the code parameters, the LCD flags, and a comparison against a
+best-known-codes table.  A built-in verifier replays four bundled
+reference examples of good LCD codes end to end.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ from .codes import (
 from .errors import (
     BudgetExceeded,
     Error,
+    ExponentOutOfRange,
     TableMissing,
     TableParseError,
     TooManyFactors,
 )
 from .gf import GF, FieldElem
-from .poly import Poly, primitive_idempotents
+from .poly import Poly, _idempotents, factor_xn_minus_lambda, primitive_idempotents
 from .talg import AlgebraCtx, AlgElem, elem_mul, involution_star
 
 MAX_FACTORS = 24
@@ -127,6 +132,18 @@ class BestKnownTable:
                 raise TableParseError(f"{source}:{lineno}: non-integer field in {raw!r}")
             if d < 1:
                 raise TableParseError(f"{source}:{lineno}: d must be >= 1")
+            if q < 2 or not 1 <= k <= n:
+                raise TableParseError(f"{source}:{lineno}: need q >= 2 and 1 <= k <= n in {raw!r}")
+            if d > n - k + 1:
+                raise TableParseError(
+                    f"{source}:{lineno}: d = {d} exceeds the Singleton bound n - k + 1 = {n - k + 1}"
+                )
+            griesmer = sum(-(-d // q**i) for i in range(k))
+            if griesmer > n:
+                raise TableParseError(
+                    f"{source}:{lineno}: [{n},{k},{d}] over GF({q}) breaks the Griesmer "
+                    f"bound: n >= {griesmer} needed"
+                )
             entries[(q, n, k)] = d
         return cls(entries, source)
 
@@ -181,48 +198,106 @@ def iter_ideal_codes(
         yield mask, e, ideal_from_element(e)
 
 
+def _lattice(ctx: AlgebraCtx, seed: int, max_factors: int) -> tuple[list[Poly], list[Poly]]:
+    """The canonical factors of x^n - lam and their primitive idempotents,
+    from one factorization."""
+    factors = factor_xn_minus_lambda(ctx.field, ctx.n, ctx.lam, seed=seed)
+    if len(factors) > max_factors:
+        raise TooManyFactors(f"{len(factors)} irreducible factors exceed the limit {max_factors}")
+    return factors, _idempotents(ctx.field, ctx.n, ctx.lam, factors)
+
+
+def factor_orbits(ctx: AlgebraCtx, factors: Sequence[Poly], k: int) -> Optional[list[int]]:
+    """The orbits of pi = Frob^(m-k) o reciprocal on the canonical factor
+    list of x^n - lam, as bitmasks ordered by their highest bit; None when
+    lam^(1 + p^(m-k)) != 1.
+
+    pi reverses a factor's coefficients, raises each to the power
+    p^(m-k) and makes the result monic.  When lam^(1 + p^(m-k)) = 1 the
+    k-Galois dual of an ideal is again an ideal of the algebra, and the
+    ideal with mask S is k-Galois LCD exactly when S is a union of orbits
+    (Yang-Massey 1994; Liu-Fan-Liu, FFA 2018).  Otherwise the dual is
+    constacyclic for another constant and every ideal is k-Galois LCD.
+    """
+    F = ctx.field
+    if not 0 <= k < F.m:
+        raise ExponentOutOfRange(f"Galois parameter k = {k} outside 0..{F.m - 1}")
+    t = (F.m - k) % F.m
+    if ctx.lam ** (1 + F.p**t) != F.one:
+        return None
+    position = {f.indices: i for i, f in enumerate(factors)}
+    perm = []
+    for f in factors:
+        g = f.indices[::-1]
+        for _ in range(t):
+            g = [F.frob_index(c) for c in g]
+        image = Poly.from_indices(F, g).monic()
+        if image.indices not in position:
+            raise Error(
+                f"pi maps the factor {f} to {image}, which is not a factor of "
+                f"x^{ctx.n} - {ctx.lam} over GF({F.q})"
+            )
+        perm.append(position[image.indices])
+    orbits, seen = [], 0
+    for i in range(len(perm)):
+        orbit, j = 0, i
+        while not (seen | orbit) >> j & 1:
+            orbit, j = orbit | 1 << j, perm[j]
+        if orbit:
+            orbits.append(orbit)
+            seen |= orbit
+    return sorted(orbits, key=int.bit_length)
+
+
+def _is_union(mask: int, orbits: Sequence[int]) -> bool:
+    return all(mask & o in (0, o) for o in orbits)
+
+
+def _unions(orbits: Sequence[int]) -> Iterator[int]:
+    """Every union of the orbits in ascending order: with the orbits
+    ordered by highest bit, the union grows with the subset index."""
+    for b in range(1 << len(orbits)):
+        yield sum(o for i, o in enumerate(orbits) if b >> i & 1)
+
+
+def _agree(ctx: AlgebraCtx, mask: int, k: int, flag: bool, other: bool, what: str):
+    if flag != other:
+        raise Error(
+            f"{what} (q={ctx.field.q}, n={ctx.n}, lam={ctx.lam}, mask={mask}, k={k})"
+        )
+
+
 def _build_record(
     ctx: AlgebraCtx,
     mask: int,
     e: AlgElem,
-    C: LinearCode,
-    galois_ks: Sequence[int],
+    dim: int,
+    C: Optional[LinearCode],
+    flags: dict[int, bool],
     distances: bool,
     budget: int,
     table: Optional[BestKnownTable],
-    assume_lcd: frozenset[int] = frozenset(),
 ) -> CodeRecord:
+    """The record of <e>, of dimension dim, with the LCD flag of each
+    Galois k (0 included); C is the code when the caller built it."""
     field = ctx.field
-    lam2_trivial = ctx.lam * ctx.lam == field.one
-    flags: dict[int, bool] = {}
-    for k in galois_ks:
-        if k in assume_lcd:
-            flags[k] = True
-            continue
-        flag = is_lcd(C, k)
-        if lam2_trivial and check_idempotent_lcd(e, k) != flag:
-            raise Error(
-                f"idempotent LCD criterion disagrees with subspace intersection "
-                f"(q={field.q}, n={ctx.n}, lam={ctx.lam}, mask={mask}, k={k})"
-            )
-        flags[k] = flag
     d = cert = lower = upper = None
-    if distances and C.k >= 1:
+    if distances and dim >= 1:
         try:
-            cert = min_distance(C, budget=budget)
+            cert = min_distance(C if C is not None else ideal_from_element(e), budget=budget)
             d = lower = upper = cert.d
         except BudgetExceeded as exc:
             lower, upper = exc.lower, exc.upper
-    best = table.lookup(field.q, ctx.n, C.k) if table else None
+    best = table.lookup(field.q, ctx.n, dim) if table else None
     return CodeRecord(
         q=field.q,
         n=ctx.n,
         lam=ctx.lam,
         subset_mask=mask,
         idempotent=e,
-        k=C.k,
+        k=dim,
         d=d,
-        lcd_euclid=flags[0] if 0 in flags else is_lcd(C, 0),
+        lcd_euclid=flags[0],
         lcd_galois={k: v for k, v in flags.items() if k != 0},
         best_known_d=best,
         verdict=_verdict(d, best),
@@ -242,13 +317,28 @@ def enumerate_ideals(
     max_factors: int = MAX_FACTORS,
 ) -> Iterator[CodeRecord]:
     """Stream a CodeRecord for every ideal of the context, ascending mask
-    order.  Needs gcd(n, p) = 1.  When lam^2 = 1 both LCD criteria are
-    evaluated and must agree."""
+    order.  Needs gcd(n, p) = 1.  Subspace intersection decides LCD; the
+    factor orbits must agree wherever lam^(1 + p^(m-k)) = 1, and the
+    idempotent criterion wherever lam^2 = 1."""
     ks = list(galois_ks) if galois_ks is not None else list(range(ctx.field.m))
     if 0 not in ks:
         ks = [0] + ks
-    for mask, e, C in iter_ideal_codes(ctx, seed=seed, max_factors=max_factors):
-        yield _build_record(ctx, mask, e, C, ks, distances, budget, table)
+    factors, prims = _lattice(ctx, seed, max_factors)
+    orbits = {k: factor_orbits(ctx, factors, k) for k in ks}
+    lam2_trivial = ctx.lam * ctx.lam == ctx.field.one
+    for mask in range(1 << len(factors)):
+        e = _mask_element(ctx, prims, mask)
+        C = ideal_from_element(e)
+        flags = {}
+        for k in ks:
+            flag = flags[k] = is_lcd(C, k)
+            if orbits[k] is not None:
+                _agree(ctx, mask, k, flag, _is_union(mask, orbits[k]),
+                       "factor-orbit LCD criterion disagrees with subspace intersection")
+            if lam2_trivial:
+                _agree(ctx, mask, k, flag, check_idempotent_lcd(e, k),
+                       "idempotent LCD criterion disagrees with subspace intersection")
+        yield _build_record(ctx, mask, e, C.k, C, flags, distances, budget, table)
 
 
 def search_lcd(
@@ -264,30 +354,36 @@ def search_lcd(
     """All k-Galois LCD ideals of the context, sorted by dimension then
     distance, both descending.
 
-    When lam^(1 + p^(m-k)) != 1 every constacyclic code is LCD, so the
-    per-ideal intersection test is skipped (a sample is still verified).
+    The factor orbits decide LCD (see factor_orbits), so only the LCD
+    masks are visited, and the dimension is the degree sum of the chosen
+    factors.  Each record is checked independently: by the idempotent
+    criterion when lam^2 = 1 (for k and for the Euclidean flag), and
+    otherwise by subspace intersection wherever the orbits decided; where
+    lam^(1 + p^(m-k)) != 1 every ideal is LCD by the theorem.  A code is
+    built only for that check and for the minimum distance.
     """
-    field = ctx.field
-    exponent = 1 + field.p ** ((field.m - k) % field.m)
-    all_lcd = ctx.lam**exponent != field.one
+    factors, prims = _lattice(ctx, seed, max_factors)
+    orbits = factor_orbits(ctx, factors, k)
+    euclid = orbits if k == 0 else factor_orbits(ctx, factors, 0)
+    lam2_trivial = ctx.lam * ctx.lam == ctx.field.one
+    degrees = [f.degree for f in factors]
     records = []
-    triples = list(iter_ideal_codes(ctx, seed=seed, max_factors=max_factors))
-    if all_lcd:
-        sample = {m for m, _, _ in triples[:4]} | {m for m, _, _ in triples[-4:]}
-        for mask, _, C in triples:
-            if mask in sample and not is_lcd(C, k):
-                raise Error(
-                    f"fast-path assumption violated: ideal mask={mask} is not "
-                    f"{k}-Galois LCD despite lam^(1+p^(m-k)) != 1"
-                )
-    assume = frozenset([k]) if all_lcd else frozenset()
-    for mask, e, C in triples:
-        if C.k < min_dim:
+    for mask in range(1 << len(factors)) if orbits is None else _unions(orbits):
+        dim = sum(d for i, d in enumerate(degrees) if mask >> i & 1)
+        if dim < min_dim:
             continue
-        rec = _build_record(ctx, mask, e, C, [k], distances, budget, table, assume)
-        flag = rec.lcd_euclid if k == 0 else rec.lcd_galois.get(k, False)
-        if flag:
-            records.append(rec)
+        e = _mask_element(ctx, prims, mask)
+        flags = {0: euclid is None or _is_union(mask, euclid), k: True}
+        C = None
+        if lam2_trivial:
+            for j, flag in flags.items():
+                _agree(ctx, mask, j, flag, check_idempotent_lcd(e, j),
+                       "idempotent LCD criterion disagrees with the factor orbits")
+        elif orbits is not None:
+            C = ideal_from_element(e)
+            _agree(ctx, mask, k, True, is_lcd(C, k),
+                   "subspace intersection disagrees with the factor orbits")
+        records.append(_build_record(ctx, mask, e, dim, C, flags, distances, budget, table))
     records.sort(key=lambda r: (-r.k, -(r.d if r.d is not None else -1)))
     return records
 

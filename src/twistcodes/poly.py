@@ -360,7 +360,11 @@ def primitive_idempotents(
     e_i = (h_i^{-1} mod f_i) * h_i mod (x^n - lam) with h_i = (x^n - lam)/f_i;
     they satisfy e_i^2 = e_i, e_i e_j = 0 for i != j, and sum e_i = 1.
     """
-    factors = factor_xn_minus_lambda(field, n, lam, seed=seed)
+    return _idempotents(field, n, lam, factor_xn_minus_lambda(field, n, lam, seed=seed))
+
+
+def _idempotents(field: FieldSpec, n: int, lam: FieldElem, factors: Sequence[Poly]) -> list[Poly]:
+    """The primitive idempotents of the given factor list of x^n - lam."""
     modulus = Poly.xn_minus(field, n, lam)
     out = []
     for fi in factors:

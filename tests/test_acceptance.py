@@ -24,6 +24,8 @@ from twistcodes.codes import (
 )
 from twistcodes.discover import (
     REFERENCE_EXAMPLES,
+    _is_union,
+    factor_orbits,
     iter_ideal_codes,
     make_reference_ctx,
     search_lcd,
@@ -264,6 +266,30 @@ def test_criterion_8_always_lcd_fast_path(lattice):
                 assert per_k[k][1], (ctx, mask, k)
                 checks += 1
     report(8, f"lam^(1+p^(m-k)) != 1 forces k-Galois LCD on {checks} ideals")
+
+
+def test_criterion_12_factor_orbits_decide_search(lattice):
+    searched = orbit_checks = 0
+    for ctx, entries in lattice:
+        F, m = ctx.field, ctx.field.m
+        factors = factor_xn_minus_lambda(F, ctx.n, ctx.lam)
+        for k in range(m):
+            lcd = {mask: (e, C) for mask, e, C, per_k in entries if per_k[k][1]}
+            recs = search_lcd(ctx, k, distances=False)
+            assert sorted(r.subset_mask for r in recs) == sorted(lcd), (ctx, k)
+            for r in recs:
+                e, C = lcd[r.subset_mask]
+                assert (r.idempotent, r.k) == (e, C.k), (ctx, r.subset_mask, k)
+            searched += len(recs)
+            orbits = factor_orbits(ctx, factors, k)
+            if orbits is None:
+                assert ctx.lam ** (1 + F.p ** ((m - k) % m)) != F.one
+                continue
+            for mask, e, C, per_k in entries:
+                assert _is_union(mask, orbits) == per_k[k][1], (ctx, mask, k)
+                orbit_checks += 1
+    report(12, f"search_lcd emits exactly the subspace-LCD ideals ({searched} records); "
+               f"factor orbits == subspace intersection on {orbit_checks} (ideal, k) pairs")
 
 
 # -- criterion 9: cohomology classes, witnesses, isometries --------------------

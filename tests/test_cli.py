@@ -205,6 +205,48 @@ def test_search_without_distances_adds_no_keys(capsys):
     assert "[19,12,?]" in text and ".." not in text
 
 
+def test_search_without_distances_above_table_limit(capsys):
+    # GF(257) has no operation tables; the factor orbits decide LCD and the
+    # idempotent criterion (lam^2 = 1) checks them, so no code is built
+    ctx = ["search", "-q", "257", "-n", "4"]
+    rc, out = run(capsys, ctx + ["--lam", "1", "--no-distances", "--format", "json"])
+    assert rc == 0
+    codes = json_lines(out)[1:]
+    assert [(r["mask"], r["k"]) for r in codes] == [
+        (15, 4), (7, 3), (14, 3), (6, 2), (9, 2), (1, 1), (8, 1), (0, 0)
+    ]
+    assert all(r["lcd_euclid"] and set(r) == SEARCH_KEYS for r in codes)
+    # lam^2 != 1: every ideal is LCD by the theorem, and no check needs a code
+    rc, out = run(capsys, ctx + ["--lam", "3", "--no-distances", "--format", "json"])
+    assert rc == 0
+    assert [r["mask"] for r in json_lines(out)[1:]] == [1, 0]
+    # distances, and the intersection check for lam^2 != 1 = lam^(1 + 3^5), need tables
+    assert main(ctx + ["--lam", "1"]) == 2
+    lam4 = "2,0,0,1,2,1"  # an element of order 4 in GF(729) with the default modulus
+    argv = ["search", "-q", "729", "-n", "4", "--lam", lam4, "--galois", "1", "--no-distances"]
+    assert main(argv) == 2
+    assert "needs operation tables" in capsys.readouterr().err
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    for argv in (
+        ["search", "-q", "3", "-n", "10", "--lam", "2"],
+        ["distance", "-q", "3", "-n", "10", "--lam", "2", "--mask", "6"],
+        ["verify-examples"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", "-5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.splitlines()[-1].endswith(
+            "error: argument --budget: expected an integer >= 0, got '-5'"
+        )
+    # zero is a budget: it is used up before the first message
+    rc, out = run(capsys, ["distance", "-q", "3", "-n", "10", "--lam", "2", "--mask", "6", "--budget", "0"])
+    assert rc == 1 and "budget exceeded" in out
+
+
 def test_verify_examples_subset(capsys):
     rc, out = run(
         capsys,

@@ -142,6 +142,26 @@ def test_best_known_table(tmp_path):
         BestKnownTable.load(tmp_path / "missing.csv")
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("3,10,0,2", "1 <= k <= n"),
+        ("3,10,11,1", "1 <= k <= n"),
+        ("3,10,8,4", "exceeds the Singleton bound n - k + 1 = 3"),
+        ("2,10,5,6", "breaks the Griesmer bound: n >= 13 needed"),
+    ],
+)
+def test_best_known_table_rejects_rows_beyond_the_bounds(tmp_path, row, message):
+    p = tmp_path / "table.csv"
+    p.write_text(f"# q,n,k,d\n3,10,8,2\n{row}\n")
+    with pytest.raises(TableParseError) as err:
+        BestKnownTable.load(p)
+    assert f"{p}:3: " in str(err.value) and message in str(err.value)
+    # on the bounds themselves the rows load
+    t = BestKnownTable._parse("3,10,8,3\n3,10,2,7\n2,13,5,6\n", "edge")
+    assert t.lookup(2, 13, 5) == 6
+
+
 def test_compare_verdicts():
     t = BestKnownTable.bundled()
     recs = {r.k: r for r in enumerate_ideals(CTX1, table=t)}

@@ -1,0 +1,49 @@
+"""The three LCD derivations on random ideals: subspace intersection, the
+factor orbits of Frobenius o reciprocal, and (when lam^2 = 1) the
+idempotent criterion, together with membership in `search_lcd`."""
+
+import functools
+from math import gcd
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from twistcodes.codes import check_idempotent_lcd, ideal_from_element, is_lcd  # noqa: E402
+from twistcodes.discover import _is_union, _mask_element, factor_orbits, search_lcd  # noqa: E402
+from twistcodes.gf import GF  # noqa: E402
+from twistcodes.poly import factor_xn_minus_lambda, primitive_idempotents  # noqa: E402
+from twistcodes.talg import AlgebraCtx  # noqa: E402
+
+# prime fields and the extension fields whose Frobenius is not the identity
+QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27)
+
+
+@functools.lru_cache(maxsize=None)
+def _context(q, n, lam_index):
+    """The algebra, its canonical factors and its primitive idempotents."""
+    ctx = AlgebraCtx(GF(q), n, GF(q).from_index(lam_index))
+    F, lam = ctx.field, ctx.lam
+    return ctx, factor_xn_minus_lambda(F, n, lam), primitive_idempotents(F, n, lam)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from(QS), data=st.data())
+def test_lcd_criteria_agree(q, data):
+    F = GF(q)
+    n = data.draw(st.integers(1, 16).filter(lambda n: gcd(n, F.p) == 1), label="n")
+    # lam = +-1 takes the idempotent criterion's branch, so draw it often
+    lam = data.draw(st.sampled_from((1, (-F.one).index)) | st.integers(1, q - 1), label="lam")
+    k = data.draw(st.integers(0, F.m - 1), label="k")
+    ctx, factors, prims = _context(q, n, lam)
+    mask = data.draw(st.integers(0, (1 << len(factors)) - 1), label="mask")
+    e = _mask_element(ctx, prims, mask)
+    flag = is_lcd(ideal_from_element(e), k)
+    orbits = factor_orbits(ctx, factors, k)
+    assert (orbits is None or _is_union(mask, orbits)) == flag
+    if ctx.lam * ctx.lam == F.one:
+        assert check_idempotent_lcd(e, k) == flag
+    assert (mask in {r.subset_mask for r in search_lcd(ctx, k, distances=False)}) == flag
