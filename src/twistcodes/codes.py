@@ -90,16 +90,6 @@ def _rref(field: FieldSpec, M: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]
     return M[:r].copy(), tuple(pivots)
 
 
-def _reduce_against(field: FieldSpec, R: np.ndarray, pivots, v: np.ndarray) -> np.ndarray:
-    ADD, MUL, NEG, _ = _tables(field)
-    w = v.astype(np.uint8).copy()
-    for i, pc in enumerate(pivots):
-        f = int(w[pc])
-        if f:
-            w = ADD[w, MUL[NEG[f], R[i]]]
-    return w
-
-
 class LinearCode:
     """A subspace of GF(q)^n in canonical reduced-row-echelon form."""
 
@@ -149,8 +139,7 @@ class LinearCode:
     def contains(self, v: Sequence[FieldElem]) -> bool:
         if len(v) != self.n:
             raise LengthMismatch(f"vector of length {len(v)}, expected {self.n}")
-        w = _reduce_against(self.field, self.gen, self.pivots, _vec_idx(self.field, v))
-        return not w.any()
+        return len(_rref(self.field, np.vstack([self.gen, _vec_idx(self.field, v)]))[1]) == self.k
 
     def __eq__(self, other):
         return (
@@ -172,7 +161,7 @@ class LinearCode:
             "field": self.field.to_dict(),
             "n": self.n,
             "k": self.k,
-            "rows": [[self.field.from_index(int(i)).ser() for i in row] for row in self.gen],
+            "rows": [self.field.ser(row) for row in self.gen.tolist()],
         }
 
     @classmethod
@@ -210,22 +199,23 @@ def is_lambda_constacyclic(C: LinearCode, lam: FieldElem) -> bool:
     the generator rows, which suffices by linearity)."""
     if lam.is_zero():
         raise ZeroLambda("shift constant must be a unit")
-    for row in C.basis():
-        if not C.contains(constacyclic_shift(lam, row)):
-            return False
-    return True
+    shifted = np.roll(C.gen, 1, axis=1)
+    shifted[:, 0] = _tables(C.field)[1][C.field.element(lam).index][shifted[:, 0]]
+    return len(_rref(C.field, np.vstack([C.gen, shifted]))[1]) == C.k
 
 
 def ideal_from_element(a: AlgElem) -> LinearCode:
     """The principal ideal <a> as a linear code: row space of the n
     twisted shifts of phi^{-1}(a)."""
     ctx = a.ctx
-    v = phi_inv(a)
-    rows = [v]
-    for _ in range(ctx.n - 1):
-        v = constacyclic_shift(ctx.lam, v)
-        rows.append(v)
-    return LinearCode.from_vectors(ctx.field, ctx.n, rows)
+    F, n = ctx.field, ctx.n
+    MUL = _tables(F)[1]
+    # shift i moves entry j - i to j, times lam where it wrapped (j < i)
+    j = np.arange(n)
+    M = np.array(a.indices, dtype=np.uint8)[(j - j[:, None]) % n]
+    wrapped = j < j[:, None]
+    M[wrapped] = MUL[ctx.lam.index][M[wrapped]]
+    return LinearCode(F, n, *_rref(F, M))
 
 
 def generator_poly(C: LinearCode, ctx: AlgebraCtx) -> Poly:
@@ -375,11 +365,31 @@ def min_distance(
         raise ZeroCode("the zero code has no minimum distance")
     if method == "auto":
         method = "exhaustive" if C.field.q**C.k <= EXHAUSTIVE_LIMIT else "info-set"
-    if method == "exhaustive":
-        return _min_distance_exhaustive(C, budget)
-    if method == "info-set":
-        return _min_distance_infoset(C, budget)
-    raise ValueError(f"unknown method {method!r}")
+    searches = {"exhaustive": _min_distance_exhaustive, "info-set": _min_distance_infoset}
+    if method not in searches:
+        raise ValueError(f"unknown method {method!r}")
+    try:
+        cert = searches[method](C, budget)
+    except BudgetExceeded as exc:
+        # d >= lower holds; both bounds are monotone in d, so only a lower
+        # bound can contradict them (a partial search's upper may exceed them)
+        _check_bounds(C.field.q, C.n, C.k, exc.lower, "minimum distance lower bound: ")
+        raise
+    _check_bounds(C.field.q, C.n, C.k, cert.d, "certified minimum distance: ")
+    return cert
+
+
+def _check_bounds(q: int, n: int, k: int, d: int, where: str, error: type = Error):
+    """Raise error(where + reason) when no [n, k, d] code over GF(q) exists
+    by the Singleton bound d <= n - k + 1 or the Griesmer bound
+    n >= sum_{i<k} ceil(d / q^i)."""
+    if d > n - k + 1:
+        raise error(f"{where}d = {d} exceeds the Singleton bound n - k + 1 = {n - k + 1}")
+    griesmer = sum(-(-d // q**i) for i in range(k))
+    if griesmer > n:
+        raise error(
+            f"{where}[{n},{k},{d}] over GF({q}) breaks the Griesmer bound: n >= {griesmer} needed"
+        )
 
 
 def _span(field: FieldSpec, rows: np.ndarray, digits: np.ndarray) -> np.ndarray:

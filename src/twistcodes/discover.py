@@ -16,6 +16,7 @@ reference examples of good LCD codes end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from importlib.resources import files as resource_files
 from typing import Iterator, Optional, Sequence
 
@@ -23,6 +24,7 @@ from .codes import (
     DEFAULT_BUDGET,
     DistanceCertificate,
     LinearCode,
+    _check_bounds,
     check_idempotent_lcd,
     dual,
     ideal_from_element,
@@ -134,33 +136,24 @@ class BestKnownTable:
                 raise TableParseError(f"{source}:{lineno}: d must be >= 1")
             if q < 2 or not 1 <= k <= n:
                 raise TableParseError(f"{source}:{lineno}: need q >= 2 and 1 <= k <= n in {raw!r}")
-            if d > n - k + 1:
-                raise TableParseError(
-                    f"{source}:{lineno}: d = {d} exceeds the Singleton bound n - k + 1 = {n - k + 1}"
-                )
-            griesmer = sum(-(-d // q**i) for i in range(k))
-            if griesmer > n:
-                raise TableParseError(
-                    f"{source}:{lineno}: [{n},{k},{d}] over GF({q}) breaks the Griesmer "
-                    f"bound: n >= {griesmer} needed"
-                )
+            _check_bounds(q, n, k, d, f"{source}:{lineno}: ", TableParseError)
             entries[(q, n, k)] = d
         return cls(entries, source)
 
     @classmethod
     def bundled(cls) -> "BestKnownTable":
-        text = resource_files("twistcodes").joinpath("data/best_known.csv").read_text()
-        return cls._parse(text, "bundled")
+        """The table shipped with the package, parsed once per process;
+        each call returns its own copy."""
+        return cls(_bundled_entries(), "bundled")
 
     def lookup(self, q: int, n: int, k: int) -> Optional[int]:
         return self.entries.get((q, n, k))
 
 
-def compare(record: CodeRecord, table: Optional[BestKnownTable]) -> Verdict:
-    """Verdict of a record's distance against the table."""
-    if table is None or record.d is None:
-        return Verdict("unknown")
-    return _verdict(record.d, table.lookup(record.q, record.n, record.k))
+@cache
+def _bundled_entries() -> dict[tuple[int, int, int], int]:
+    text = resource_files("twistcodes").joinpath("data/best_known.csv").read_text()
+    return BestKnownTable._parse(text, "bundled").entries
 
 
 def _verdict(d: Optional[int], best: Optional[int]) -> Verdict:
@@ -549,18 +542,11 @@ def verify_reference_examples(
             idem = check_idempotent_lcd(elem, 0)
             rep.add(f"{label} Euclidean LCD (both criteria)", sub and idem)
         rep.add("dual<e> = <f>", dual(Ce, 0) == Cf)
-        found_e = found_f = False
-        masks = 0
-        for _, cand, _C in iter_ideal_codes(ctx, seed=seed):
-            masks += 1
-            if cand == e:
-                found_e = True
-            if cand == f:
-                found_f = True
+        found = [cand for _, cand, _C in iter_ideal_codes(ctx, seed=seed)]
         rep.add(
             "enumeration rediscovers e and f",
-            found_e and found_f,
-            f"{masks} ideals scanned",
+            e in found and f in found,
+            f"{len(found)} ideals scanned",
         )
         verdicts = [_verdict(d, table.lookup(ex.q, ex.n, k)) for k, d in got]
         rep.add(

@@ -194,14 +194,10 @@ class FieldElem:
 
     def ser(self) -> Union[int, list[int]]:
         """Serialized form: single residue for prime fields, else coordinates."""
-        if self.field.m == 1:
-            return self.index
-        return list(self.coeffs)
+        return self.field.ser((self.index,))[0]
 
     def __str__(self):
-        if self.field.m == 1:
-            return str(self.index)
-        return "(" + ",".join(str(c) for c in self.coeffs) + ")"
+        return self.field.index_str(self.index)
 
     def __repr__(self):
         return f"GF({self.field.q}):{self}"
@@ -419,6 +415,16 @@ class FieldSpec:
     @property
     def one(self) -> FieldElem:
         return self.from_index(1)
+
+    def ser(self, indices: Sequence[int]) -> list:
+        """The elements of the given indices as residues, or coordinate lists."""
+        return list(indices) if self.m == 1 else [self._coeffs_of(i) for i in indices]
+
+    def index_str(self, i: int) -> str:
+        """The printed element of index i: its residue, or "(c0,c1,...)"."""
+        if self.m == 1:
+            return str(i)
+        return "(" + ",".join(map(str, self._coeffs_of(i))) + ")"
 
     def to_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}

@@ -218,24 +218,23 @@ class Poly:
         return result
 
     def __str__(self):
-        return _terms(self.coeffs, "x")
+        return _terms(self.field, self.indices, "x")
 
     def __repr__(self):
         return f"Poly({self.field!r}, {self})"
 
     def ser(self) -> list:
         """FieldElem.ser of each coefficient: residues, or coordinate lists."""
-        F = self.field
-        return list(self.indices) if F.m == 1 else [F._coeffs_of(i) for i in self.indices]
+        return self.field.ser(self.indices)
 
 
-def _terms(coeffs: Sequence[FieldElem], var: str) -> str:
+def _terms(field: FieldSpec, indices: Sequence[int], var: str) -> str:
     """Highest power first, without zero terms or unit coefficients; "0" if empty."""
     terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        if coeffs[i].is_zero():
+    for i in range(len(indices) - 1, -1, -1):
+        if not indices[i]:
             continue
-        cs = str(coeffs[i])
+        cs = field.index_str(indices[i])
         if i == 0:
             terms.append(cs)
         else:

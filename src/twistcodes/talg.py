@@ -2,7 +2,8 @@
 
 The algebra has basis gbar^0, ..., gbar^(n-1) with gbar^i * gbar^j equal
 to gbar^(i+j) when i+j < n and lam * gbar^(i+j-n) otherwise, so that
-gbar^n = lam * 1.  Elements are dense length-n coefficient tuples.  The
+gbar^n = lam * 1.  Elements are dense length-n tuples of field indices,
+as in Poly; FieldElem appears only where values cross the API.  The
 module also provides the classical involution, the coefficientwise
 Frobenius twist, the k-Galois form, equivalence witnesses between two
 wrap cocycles, and the induced weight-preserving isometry, plus a
@@ -82,9 +83,7 @@ class AlgebraCtx:
         up to length n."""
         if len(indices) > self.n:
             raise LengthMismatch(f"{len(indices)} coefficients for n = {self.n}")
-        F = self.field
-        cs = [F.from_index(i) for i in indices]
-        return AlgElem(self, tuple(cs + [F.zero] * (self.n - len(cs))))
+        return AlgElem(self, tuple(indices) + (0,) * (self.n - len(indices)))
 
     def elem_from_dict(self, terms: dict[int, int]) -> "AlgElem":
         cs = [0] * self.n
@@ -117,14 +116,19 @@ class AlgebraCtx:
 
 
 class AlgElem:
-    """An element sum_i c_i gbar^i of a twisted group algebra."""
+    """An element sum_i c_i gbar^i of a twisted group algebra, held as the
+    field indices of c_0, ..., c_(n-1)."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "indices")
 
-    def __init__(self, ctx: AlgebraCtx, coeffs: tuple[FieldElem, ...]):
-        assert len(coeffs) == ctx.n
+    def __init__(self, ctx: AlgebraCtx, indices: tuple[int, ...]):
+        assert len(indices) == ctx.n
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.indices = indices
+
+    @property
+    def coeffs(self) -> tuple[FieldElem, ...]:
+        return tuple(map(self.ctx.field.from_index, self.indices))
 
     def _check(self, other: "AlgElem"):
         if not isinstance(other, AlgElem) or other.ctx != self.ctx:
@@ -132,51 +136,46 @@ class AlgElem:
 
     def __add__(self, other):
         self._check(other)
-        return AlgElem(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        ADD = self.ctx.field._add
+        return AlgElem(self.ctx, tuple(ADD[x][y] for x, y in zip(self.indices, other.indices)))
 
     def __sub__(self, other):
-        self._check(other)
-        return AlgElem(self.ctx, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __neg__(self):
-        return AlgElem(self.ctx, tuple(-a for a in self.coeffs))
+        NEG = self.ctx.field._neg
+        return AlgElem(self.ctx, tuple(NEG[x] for x in self.indices))
 
     def __mul__(self, other):
         if isinstance(other, FieldElem):
-            return AlgElem(self.ctx, tuple(c * other for c in self.coeffs))
+            F = self.ctx.field
+            row = F._mul[F.element(other).index]
+            return AlgElem(self.ctx, tuple(row[x] for x in self.indices))
         self._check(other)
         return elem_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, FieldElem):
-            return self * other
-        return NotImplemented
 
     def __eq__(self, other):
         return (
             isinstance(other, AlgElem)
             and self.ctx == other.ctx
-            and self.coeffs == other.coeffs
+            and self.indices == other.indices
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash((self.ctx, self.indices))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.indices)
 
     def weight(self) -> int:
         """Hamming weight of the coefficient sequence."""
-        return sum(1 for c in self.coeffs if not c.is_zero())
-
-    def star(self) -> "AlgElem":
-        return involution_star(self)
+        return sum(1 for x in self.indices if x)
 
     def ser(self) -> list:
-        return [c.ser() for c in self.coeffs]
+        return self.ctx.field.ser(self.indices)
 
     def __str__(self):
-        return _terms(self.coeffs, "ḡ")
+        return _terms(self.ctx.field, self.indices, "ḡ")
 
     def __repr__(self):
         return f"<{self} in {self.ctx!r}>"
@@ -189,8 +188,7 @@ def elem_mul(a: AlgElem, b: AlgElem) -> AlgElem:
         raise CtxMismatch("elements of different twisted group algebras")
     ctx = a.ctx
     F, n = ctx.field, ctx.n
-    pa, pb = (Poly.from_indices(F, [c.index for c in x.coeffs]) for x in (a, b))
-    prod = (pa * pb).indices
+    prod = (Poly.from_indices(F, a.indices) * Poly.from_indices(F, b.indices)).indices
     low, high = list(prod[:n]), prod[n:]
     ADD, row = F._add, F._mul[ctx.lam.index]
     low[: len(high)] = [ADD[x][row[y]] for x, y in zip(low, high)]
@@ -210,22 +208,20 @@ def involution_star(a: AlgElem) -> AlgElem:
         raise InvolutionUndefined(
             f"classical involution needs lam^2 = 1; lam = {lam} over GF({ctx.field.q})"
         )
-    lam_inv = lam.inverse()
-    n = ctx.n
-    out = [ctx.field.zero] * n
-    out[0] = a.coeffs[0]
-    for i in range(1, n):
-        out[n - i] = lam_inv * a.coeffs[i]
-    return AlgElem(ctx, tuple(out))
+    row = ctx.field._mul[lam.inverse().index]
+    x = a.indices
+    # position n - i takes lam^(-1) c_i: the tail reversed and scaled
+    return AlgElem(ctx, (x[0],) + tuple(row[c] for c in reversed(x[1:])))
 
 
 def frobenius_twist(a: AlgElem, k: int) -> AlgElem:
     """Apply x -> x^(p^k) to every coefficient."""
     if not 0 <= k < a.ctx.field.m:
         raise ExponentOutOfRange(f"Galois parameter k = {k} outside 0..{a.ctx.field.m - 1}")
-    if k == 0:
-        return a
-    return AlgElem(a.ctx, tuple(c.frobenius(k) for c in a.coeffs))
+    F, x = a.ctx.field, a.indices
+    for _ in range(k):
+        x = tuple(map(F.frob_index, x))
+    return AlgElem(a.ctx, x)
 
 
 def k_galois_form(a: AlgElem, b: AlgElem, k: int) -> FieldElem:
@@ -244,7 +240,7 @@ def k_galois_form(a: AlgElem, b: AlgElem, k: int) -> FieldElem:
 def coeff_identity(a: AlgElem) -> FieldElem:
     """The coefficient of gbar^0; for lam^2 = 1 it satisfies
     coeff_identity(a * star(frobenius_twist(b, k))) = [a, b]_k."""
-    return a.coeffs[0]
+    return a.ctx.field.from_index(a.indices[0])
 
 
 class CocycleTable:
@@ -330,9 +326,9 @@ def apply_isometry(a: AlgElem, witness: FieldElem, target: AlgebraCtx) -> AlgEle
         raise InvalidWitness(
             f"witness {witness} does not satisfy lam = a^{ctx.n} * beta"
         )
-    out = []
-    scale = ctx.field.one
-    for c in a.coeffs:
-        out.append(c * scale)
-        scale = scale * witness
+    MUL, w = ctx.field._mul, witness.index
+    out, scale = [], 1
+    for c in a.indices:
+        out.append(MUL[c][scale])
+        scale = MUL[scale][w]
     return AlgElem(target, tuple(out))

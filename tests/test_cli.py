@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import unittest.mock
 from pathlib import Path
 
 import pytest
@@ -377,3 +378,31 @@ def test_closed_stdout_pipe_no_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_search_table_sources(capsys, tmp_path, monkeypatch):
+    # the bundled table is parsed once per process; --table and the
+    # environment variable name files that are read on every call
+    search = ["search", "-q", "3", "-n", "10", "--lam", "2", "--min-dim", "8", "--format", "json"]
+
+    def best_known(argv):
+        rc, out = run(capsys, argv)
+        assert rc == 0
+        return next(r["best_known_d"] for r in json_lines(out)[1:] if r["k"] == 8)
+
+    monkeypatch.delenv("TWISTCODES_TABLE", raising=False)
+    assert best_known(search) == 2
+    discover = twistcodes.discover
+    with unittest.mock.patch.object(discover, "resource_files", side_effect=AssertionError):
+        assert best_known(search) == 2
+        table = tmp_path / "table.csv"
+        table.write_text("3,10,8,3\n")
+        assert best_known(search + ["--table", str(table)]) == 3
+        table.write_text("3,10,8,1\n")
+        assert best_known(search + ["--table", str(table)]) == 1
+        monkeypatch.setenv("TWISTCODES_TABLE", str(table))
+        assert best_known(search) == 1
+        table.write_text("# empty\n")
+        assert best_known(search) is None
+    first, second = discover.BestKnownTable.bundled(), discover.BestKnownTable.bundled()
+    assert first.entries == second.entries and first.entries is not second.entries

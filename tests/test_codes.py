@@ -1,11 +1,14 @@
 import random
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 
+from twistcodes import codes
 from twistcodes.errors import (
     BudgetExceeded,
+    Error,
     LengthMismatch,
     NotConstacyclic,
     NotIdempotent,
@@ -14,6 +17,7 @@ from twistcodes.errors import (
 )
 from twistcodes.gf import GF, FieldSpec
 from twistcodes.codes import (
+    DistanceCertificate,
     LinearCode,
     check_idempotent_lcd,
     constacyclic_shift,
@@ -159,6 +163,34 @@ def test_ideal_from_element_trivia():
     assert ideal_from_element(CTX1.one) == LinearCode.full(F3, 10)
     assert ideal_from_element(CTX1.zero) == LinearCode.zero(F3, 10)
     assert C1.k == 8
+
+
+def shift_rows_code(a):
+    """<a> as its definition reads: the row space of the n twisted shifts
+    of phi^{-1}(a), built from FieldElem vectors."""
+    v, rows = phi_inv(a), []
+    for _ in range(a.ctx.n):
+        rows.append(v)
+        v = constacyclic_shift(a.ctx.lam, v)
+    return LinearCode.from_vectors(a.ctx.field, a.ctx.n, rows)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 9))
+def test_ideal_from_element_matches_shift_rows(q):
+    # the acceptance matrix: n <= 15 prime to p, every unit lam (n = 1 and
+    # lam != 1 included); every ideal's idempotent plus two dense elements
+    F = GF(q)
+    rng = random.Random(q)
+    for n in range(1, 16):
+        if n % F.p == 0:
+            continue
+        for i in range(1, q):
+            ctx = AlgebraCtx(F, n, F.from_index(i))
+            for _, e, C in iter_ideal_codes(ctx):
+                assert C == shift_rows_code(e), (ctx, e)
+            for _ in range(2):
+                a = ctx.from_indices([rng.randrange(q) for _ in range(n)])
+                assert ideal_from_element(a) == shift_rows_code(a), (ctx, a)
 
 
 def test_generator_poly():
@@ -350,6 +382,56 @@ def test_min_distance_errors():
     with pytest.raises(BudgetExceeded) as exc:
         min_distance(big, budget=3, method="info-set")
     assert exc.value.lower == 1
+
+
+def _kernel_returning(d):
+    return lambda C, budget: DistanceCertificate(d, (), "exhaustive", 1)
+
+
+def _kernel_exhausted(upper, lower):
+    def kernel(C, budget):
+        raise BudgetExceeded(upper, lower, budget)
+
+    return kernel
+
+
+def test_min_distance_checks_singleton_and_griesmer():
+    hamming = ideal_from_element(AlgebraCtx(GF(2), 7, 1).elem([1, 1, 0, 1]))  # [7,4,3]
+    patch = mock.patch.object
+    with patch(codes, "_min_distance_exhaustive", _kernel_returning(3)):
+        assert min_distance(C1).d == 3  # [10,8,3] over GF(3) meets both bounds
+        assert min_distance(hamming).d == 3
+    with patch(codes, "_min_distance_exhaustive", _kernel_returning(4)):
+        with pytest.raises(Error, match="Singleton bound n - k \\+ 1 = 3"):
+            min_distance(C1)  # [10,8,4]
+        with pytest.raises(Error, match="breaks the Griesmer bound: n >= 8"):
+            min_distance(hamming)  # [7,4,4]: within Singleton, not Griesmer
+    with patch(codes, "_min_distance_infoset", _kernel_returning(4)):
+        with pytest.raises(Error, match="certified minimum distance: "):
+            min_distance(hamming, method="info-set")
+    # a budget stop: d >= lower must be possible, and the error is not a
+    # BudgetExceeded, so no caller reports it as a budget stop
+    with patch(codes, "_min_distance_exhaustive", _kernel_exhausted(None, 4)):
+        with pytest.raises(Error, match="minimum distance lower bound: .*Griesmer") as exc:
+            min_distance(hamming)
+        assert not isinstance(exc.value, BudgetExceeded)
+    with patch(codes, "_min_distance_exhaustive", _kernel_exhausted(4, 3)):
+        with pytest.raises(BudgetExceeded):
+            min_distance(hamming)
+
+
+def test_budget_upper_bound_may_exceed_griesmer():
+    # every row has weight 4, and the rows sum in pairs to weight 2: the
+    # weight-1 messages give upper = 4, above the Griesmer maximum 3 of a
+    # binary [7,4] code, yet the stop before weight 2 is an honest one
+    F2 = GF(2)
+    rows = [[1, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 1, 1],
+            [0, 0, 1, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1]]
+    C = LinearCode.from_vectors(F2, 7, [[F2.from_index(b) for b in r] for r in rows])
+    with pytest.raises(BudgetExceeded) as exc:
+        min_distance(C, budget=4, method="info-set")
+    assert (exc.value.upper, exc.value.lower) == (4, 2)
+    assert min_distance(C).d == 2
 
 
 def test_min_distance_budget_bounds_memory():

@@ -7,7 +7,6 @@ from twistcodes.discover import (
     BestKnownTable,
     REFERENCE_EXAMPLES,
     Verdict,
-    compare,
     enumerate_ideals,
     iter_ideal_codes,
     make_reference_ctx,
@@ -168,8 +167,10 @@ def test_compare_verdicts():
     assert str(recs[8].verdict) == "optimal"
     assert recs[2].verdict == Verdict("suboptimal", 2)
     assert recs[4].verdict.status == "unknown"
-    assert compare(recs[8], None) == Verdict("unknown")
-    assert compare(recs[8], t).status == "optimal"
+    r = recs[8]
+    assert _verdict(r.d, None) == Verdict("unknown")
+    assert _verdict(None, t.lookup(r.q, r.n, r.k)) == Verdict("unknown")
+    assert _verdict(r.d, t.lookup(r.q, r.n, r.k)).status == "optimal"
 
 
 def test_verdict_above_table():

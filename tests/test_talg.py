@@ -105,19 +105,74 @@ def _elem_mul_double_loop(a, b):
     return tuple(F.from_index(i) for i in out)
 
 
-@pytest.mark.parametrize(
-    "q,n,lam",
-    [(3, 10, 2), (5, 9, 4), (7, 6, 3), (9, 8, (1, 1)), (4, 5, (0, 1)), (2, 7, 1),
-     (5, 1, 3), (9, 1, (2, 1)), (257, 4, 3), (729, 3, (1, 2))],
-)
+# tables up to q = 256, computed entries above; n = 1; lam = 1 and lam != 1
+INDEX_CONTEXTS = [
+    (3, 10, 2), (5, 9, 4), (7, 6, 3), (9, 8, (1, 1)), (4, 5, (0, 1)), (2, 7, 1),
+    (5, 1, 3), (9, 1, (2, 1)), (257, 4, 3), (729, 3, (1, 2)),
+]
+
+
+def rand_operands(ctx, rng):
+    a, b = rand_elem(ctx, rng), rand_elem(ctx, rng)
+    if rng.random() < 0.3:  # sparse operands, zero included
+        a = ctx.elem([c if rng.random() < 0.3 else 0 for c in a.coeffs])
+    return a, b
+
+
+@pytest.mark.parametrize("q,n,lam", INDEX_CONTEXTS)
 def test_elem_mul_matches_double_loop(q, n, lam):
     ctx = AlgebraCtx(GF(q), n, lam)
     rng = random.Random(q * 1000 + n)
     for _ in range(30):
-        a, b = rand_elem(ctx, rng), rand_elem(ctx, rng)
-        if rng.random() < 0.3:  # sparse operands, zero included
-            a = ctx.elem([c if rng.random() < 0.3 else 0 for c in a.coeffs])
+        a, b = rand_operands(ctx, rng)
         assert elem_mul(a, b).coeffs == _elem_mul_double_loop(a, b)
+
+
+def _str_from_coeffs(coeffs):
+    """gbar notation from FieldElem coefficients: highest power first,
+    no zero terms, no unit coefficients."""
+    terms = []
+    for i in reversed(range(len(coeffs))):
+        c = coeffs[i]
+        if c.is_zero():
+            continue
+        cs = str(c.index) if c.field.m == 1 else "(" + ",".join(map(str, c.coeffs)) + ")"
+        power = "" if i == 0 else "g\u0304" if i == 1 else f"g\u0304^{i}"
+        terms.append(cs + power if cs != "1" or i == 0 else power)
+    return " + ".join(terms) or "0"
+
+
+@pytest.mark.parametrize("q,n,lam", INDEX_CONTEXTS)
+def test_index_ops_match_coefficient_ops(q, n, lam):
+    ctx = AlgebraCtx(GF(q), n, lam)
+    F = ctx.field
+    # the involution needs lam^2 = 1: where lam is not such, use lam = -1
+    star_ctx = ctx if ctx.lam * ctx.lam == F.one else AlgebraCtx(F, n, -F.one)
+    star_lam_inv = star_ctx.lam.inverse()
+    rng = random.Random(q * 1000 + n + 1)
+    for _ in range(30):
+        a, b = rand_operands(ctx, rng)
+        ca, cb = a.coeffs, b.coeffs
+        c = F.from_index(rng.randrange(q))
+        assert (a + b).coeffs == tuple(x + y for x, y in zip(ca, cb))
+        assert (a - b).coeffs == tuple(x - y for x, y in zip(ca, cb))
+        assert (-a).coeffs == tuple(-x for x in ca)
+        assert (a * c).coeffs == tuple(x * c for x in ca)
+        assert a.weight() == sum(1 for x in ca if not x.is_zero())
+        assert a.is_zero() == all(x.is_zero() for x in ca)
+        assert a.ser() == [x.index if F.m == 1 else list(x.coeffs) for x in ca]
+        assert str(a) == _str_from_coeffs(ca)
+        assert coeff_identity(a) == ca[0]
+        for k in range(F.m):
+            assert frobenius_twist(a, k).coeffs == tuple(x ** (F.p**k) for x in ca)
+            form = F.zero
+            for x, y in zip(ca, cb):
+                form = form + x * y ** (F.p**k)
+            assert k_galois_form(a, b, k) == form
+        s = star_ctx.from_indices(a.indices)
+        # position n - i takes lam^(-1) c_i
+        want = [ca[0]] + [star_lam_inv * ca[n - j] for j in range(1, n)]
+        assert involution_star(s).coeffs == tuple(want)
 
 
 def test_ctx_mismatch():
