@@ -10,9 +10,9 @@ base-p digits mod p and sum them against the precomputed rows
 x^(s+t) mod modulus, batched over leading axes.  For q <= 256 the field
 applies it to all pairs, a block of rows at a time, and keeps full
 operation tables (numpy arrays for the matrix and distance kernels in
-:mod:`twistcodes.codes`, and their python-list copies for scalar work);
-inverse and Frobenius are read from the multiplication table.  Above
-256 every operation is computed per call (addition and negation
+:mod:`twistcodes.codes`, python-list copies and a digit table for scalar
+work); inverse and Frobenius are read from the multiplication table.
+Above 256 every operation is computed per call (addition and negation
 digitwise, products by the same multiplication on a single pair,
 inverse by extended Euclid over GF(p), Frobenius as a power), and the
 list tables become stand-ins that compute an entry when it is read.
@@ -135,27 +135,32 @@ class FieldElem:
         """Polynomial-basis coordinates, little-endian, length m."""
         return tuple(self.field._coeffs_of(self.index))
 
-    def _check(self, other: "FieldElem") -> None:
-        if not isinstance(other, FieldElem) or self.field != other.field:
+    def _check(self, other) -> bool:
+        if isinstance(other, FieldElem) and self.field != other.field:
             raise FieldMismatch("operands belong to different fields")
+        return isinstance(other, FieldElem)
 
     def __add__(self, other):
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         return self.field.from_index(self.field.add_index(self.index, other.index))
 
     def __sub__(self, other):
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
         return self.field.from_index(self.field.neg_index(self.index))
 
     def __mul__(self, other):
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         return self.field.from_index(self.field.mul_index(self.index, other.index))
 
     def __truediv__(self, other):
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         return self * other.inverse()
 
     def inverse(self) -> "FieldElem":
@@ -253,6 +258,7 @@ class FieldSpec:
             self._add = _OnDemand(_OnDemand, self.add_index)  # _add[i] is a row
             self._mul = _OnDemand(_OnDemand, self.mul_index)
             self._neg, self._inv = _OnDemand(self.neg_index), _OnDemand(self.inv_index)
+            self._frob, self._digits = _OnDemand(self.frob_index), _OnDemand(self._coeffs_of)
 
     # -- identity ----------------------------------------------------------
 
@@ -361,12 +367,12 @@ class FieldSpec:
     def _build_tables(self):
         q, p, m = self.q, self.p, self.m
         r = np.arange(q, dtype=np.int64)
+        place = p ** np.arange(m, dtype=np.int64)
+        digits = r[:, None] // place % p
         if m == 1:
             # residues are their own digits, and Frobenius is the identity
             add, mul, neg, frob = (r[:, None] + r) % p, r[:, None] * r % p, -r % p, r
         else:
-            place = p ** np.arange(m, dtype=np.int64)
-            digits = r[:, None] // place % p
             add = np.empty((q, q), dtype=np.uint8)
             mul = np.empty((q, q), dtype=np.uint8)
             step = max(1, _TABLE_BLOCK // (q * m * m))
@@ -380,8 +386,8 @@ class FieldSpec:
         self.np_add, self.np_mul, self.np_neg, self.np_inv, self.np_frob = (
             t.astype(np.uint8) for t in (add, mul, neg, inv, frob)
         )
-        self._add, self._mul, self._neg, self._inv, self._frob = (
-            t.tolist() for t in (add, mul, neg, inv, frob)
+        self._add, self._mul, self._neg, self._inv, self._frob, self._digits = (
+            t.tolist() for t in (add, mul, neg, inv, frob, digits)
         )
 
     # -- element constructors ------------------------------------------------
@@ -418,13 +424,13 @@ class FieldSpec:
 
     def ser(self, indices: Sequence[int]) -> list:
         """The elements of the given indices as residues, or coordinate lists."""
-        return list(indices) if self.m == 1 else [self._coeffs_of(i) for i in indices]
+        return list(indices) if self.m == 1 else [self._digits[i][:] for i in indices]
 
     def index_str(self, i: int) -> str:
         """The printed element of index i: its residue, or "(c0,c1,...)"."""
         if self.m == 1:
             return str(i)
-        return "(" + ",".join(map(str, self._coeffs_of(i))) + ")"
+        return "(" + ",".join(map(str, self._digits[i])) + ")"
 
     def to_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}

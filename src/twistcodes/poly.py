@@ -6,8 +6,10 @@ indices, trimmed so the leading one is nonzero; FieldElem appears only
 at the boundary.  Each operation binds the field's operation tables once
 and loops over indices.  Factorization runs distinct-degree
 factorization followed by Cantor-Zassenhaus equal-degree splitting with
-a seeded RNG, and the factor list is sorted by (degree, coefficient
-indices) so every downstream enumeration order is reproducible.
+a seeded RNG, squaring by rows x^(2i) mod f in characteristic 2; the
+factor list is sorted by (degree, coefficient indices) so every
+downstream enumeration order is reproducible.  Idempotents take their
+CRT inverses from the derivative: h_i^(-1) = x f_i' (n lam)^(-1) mod f_i.
 """
 
 from __future__ import annotations
@@ -292,6 +294,30 @@ def _ddf(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
+def _squarer(f: Poly):
+    """t -> t^2 = sum c_i^2 x^(2i) mod f in characteristic 2, deg t < deg f: terms
+    with 2i < deg f are placed directly, the others added from rows x^(2i) mod f."""
+    F, D = f.field, f.degree
+    ADD, MUL, FROB = F._add, F._mul, F._frob
+    half, x2, rows = (D + 1) // 2, Poly.from_indices(F, (0, 0, 1)), []
+    r = Poly.from_indices(F, [0] * (2 * half) + [1]) % f
+    for _ in range(half, D):  # r runs through x^(2i) mod f, padded to length D
+        rows.append(r.indices + (0,) * (D - len(r.indices)))
+        r = (x2 * r) % f
+
+    def square(t: Poly) -> Poly:
+        out = [0] * D
+        for i, c in enumerate(t.indices[:half]):
+            out[2 * i] = FROB[c]
+        for c, row in zip(t.indices[half:], rows):
+            if c:
+                mc = MUL[FROB[c]]
+                out = [ADD[o][mc[y]] for o, y in zip(out, row)]
+        return Poly.from_indices(F, out)
+
+    return square
+
+
 def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus equal-degree splitting: f is a monic squarefree
     product of irreducibles, all of degree d."""
@@ -299,20 +325,15 @@ def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         return [f]
     F = f.field
     q, p, m = F.q, F.p, F.m
+    square = _squarer(f) if p == 2 else None
     while True:
         r = Poly.from_indices(F, [rng.randrange(q) for _ in range(f.degree)])
-        if r.is_zero() or r.degree < 1:
-            continue
-        g = r.gcd(f)
-        if not g.is_one():
-            break
         if p == 2:
-            # trace of r from F_{q^d} down to GF(2)
-            s = Poly.zero(F)
-            t = r % f
+            # trace of r from F_{q^d} down to GF(2); deg r < deg f
+            s, t = Poly.zero(F), r
             for _ in range(m * d):
                 s = s + t
-                t = (t * t) % f
+                t = square(t)
             g = s.gcd(f)
         else:
             s = r.pow_mod((q**d - 1) // 2, f)
@@ -364,11 +385,12 @@ def primitive_idempotents(
 
 def _idempotents(field: FieldSpec, n: int, lam: FieldElem, factors: Sequence[Poly]) -> list[Poly]:
     """The primitive idempotents of the given factor list of x^n - lam."""
-    modulus = Poly.xn_minus(field, n, lam)
+    modulus, p, MUL = Poly.xn_minus(field, n, lam), field.p, field._mul
+    # x^n - lam = f_i h_i differentiated, times x, mod f_i: n lam = x f_i' h_i (p does not divide n)
+    unit = MUL[field._inv[MUL[n % p][lam.index]]]
     out = []
     for fi in factors:
-        hi = modulus // fi
-        d, u, _ = (hi % fi).xgcd(fi)
-        assert d.is_one(), "factors of a squarefree polynomial must be coprime"
-        out.append((u * hi) % modulus)
+        u = Poly.from_indices(field, [unit[MUL[i % p][c]] for i, c in enumerate(fi.indices)]) % fi
+        out.append(u * (modulus // fi))  # degree < n: already reduced
+    assert sum(out, Poly.zero(field)).is_one(), "by the CRT, sum e_i = 1 iff every inverse is right"
     return out

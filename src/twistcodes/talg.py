@@ -154,6 +154,8 @@ class AlgElem:
         self._check(other)
         return elem_mul(self, other)
 
+    __rmul__ = __mul__  # a scalar on the left, which commutes with every element
+
     def __eq__(self, other):
         return (
             isinstance(other, AlgElem)

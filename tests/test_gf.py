@@ -92,6 +92,29 @@ def test_division_by_zero():
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         F3.one + F5.one
+    # an operand that is no field element is left to its own type
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        assert getattr(F3.one, op)(2) is NotImplemented
+    with pytest.raises(TypeError):
+        F3.one * 2
+
+
+TABLE_EXTENSION_QS = (4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169, 243, 256)  # q <= 256, m > 1
+
+
+@pytest.mark.parametrize("q", TABLE_EXTENSION_QS)
+def test_ser_reads_digit_table(q):
+    F = GF(q)
+    assert F.m > 1 and F.np_mul is not None
+    assert F.ser(range(q)) == [F._coeffs_of(i) for i in range(q)]
+    assert [F.index_str(i) for i in range(q)] == [
+        "(" + ",".join(map(str, F._coeffs_of(i))) + ")" for i in range(q)
+    ]
+    # the returned lists are fresh: mutating one leaves the next call unchanged
+    first = F.ser([q - 1, q - 1])
+    first[0][0] += 1
+    first[1].append(7)
+    assert F.ser([q - 1]) == [F._coeffs_of(q - 1)]
 
 
 def test_frobenius():

@@ -173,14 +173,8 @@ def test_primitive_idempotents_irreducible_case():
     assert primitive_idempotents(F3, 2, F3.element(2)) == [Poly.one(F3)]
 
 
-@pytest.mark.parametrize(
-    "F,n,lam",
-    [(F3, 10, 2), (F5, 9, 4), (F7, 19, 6), (F9, 8, 2), (F4, 15, 1), (F2, 15, 1)],
-)
-def test_primitive_idempotents_crt_identities(F, n, lam):
-    lam = F.element(lam)
+def _assert_crt_identities(F, n, lam, es):
     M = Poly.xn_minus(F, n, lam)
-    es = primitive_idempotents(F, n, lam)
     total = Poly.zero(F)
     for i, e in enumerate(es):
         assert e.degree < n
@@ -190,6 +184,33 @@ def test_primitive_idempotents_crt_identities(F, n, lam):
                 assert ((e * e2) % M).is_zero()
         total = total + e
     assert (total % M).is_one()
+
+
+@pytest.mark.parametrize(
+    "F,n,lam",
+    [(F3, 10, 2), (F5, 9, 4), (F7, 19, 6), (F9, 8, 2), (F4, 15, 1), (F2, 15, 1),
+     # lam != 1 in characteristic 2, and above the table limit
+     (F4, 21, (0, 1)), (GF(8), 9, (0, 1, 1)), (GF(256), 17, (1, 1)),
+     (GF(257), 16, 3), (GF(729), 13, (0, 1))],
+)
+def test_primitive_idempotents_crt_identities(F, n, lam):
+    lam = F.element(lam)
+    _assert_crt_identities(F, n, lam, primitive_idempotents(F, n, lam))
+
+
+def test_factor_above_table_limit_in_characteristic_2():
+    # x^21 - 1 over GF(2^9): 512 = 8 mod 21 has order 2, so the 7 multiples
+    # of 3 give linear factors and the other 14 residues quadratic ones
+    F = GF(512)
+    assert F.q > 256 and F.np_mul is None
+    factors = factor_xn_minus_lambda(F, 21, F.one)
+    assert sorted(f.degree for f in factors) == [1] * 7 + [2] * 7
+    prod = Poly.one(F)
+    for f in factors:
+        assert f.is_monic and is_irreducible(f)
+        prod = prod * f
+    assert prod == Poly.xn_minus(F, 21, F.one)
+    _assert_crt_identities(F, 21, F.one, primitive_idempotents(F, 21, F.one))
 
 
 def test_idempotent_subset_matches_reference_element():

@@ -12,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from twistcodes.gf import GF  # noqa: E402
-from twistcodes.poly import Poly  # noqa: E402
+from twistcodes.poly import Poly, _squarer  # noqa: E402
 
 # prime and extension fields with tables, and the scalar paths above 256
 DIFF_QS = (2, 3, 7, 4, 8, 9, 16, 25, 256, 257, 729)
@@ -149,3 +149,14 @@ def test_poly_matches_digit_reference(q, data):
     ref = ref_xgcd(R, a, b)
     assert (idx(d), idx(u), idx(v)) == ref
     assert idx(A.gcd(B)) == ref[0]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from((2, 4, 256, 512)), data=st.data())
+def test_char2_squarer_matches_product(q, data):
+    """The x^(2i) mod f row table squares exactly as (t * t) % f does."""
+    F = _fields(q)[0]
+    coef = st.integers(0, q - 1)
+    f = Poly.from_indices(F, data.draw(st.lists(coef, min_size=1, max_size=12), label="f") + [1])
+    t = Poly.from_indices(F, data.draw(st.lists(coef, max_size=f.degree), label="t"))
+    assert _squarer(f)(t) == (t * t) % f

@@ -158,6 +158,7 @@ def test_index_ops_match_coefficient_ops(q, n, lam):
         assert (a - b).coeffs == tuple(x - y for x, y in zip(ca, cb))
         assert (-a).coeffs == tuple(-x for x in ca)
         assert (a * c).coeffs == tuple(x * c for x in ca)
+        assert c * a == a * c
         assert a.weight() == sum(1 for x in ca if not x.is_zero())
         assert a.is_zero() == all(x.is_zero() for x in ca)
         assert a.ser() == [x.index if F.m == 1 else list(x.coeffs) for x in ca]
