@@ -2,13 +2,14 @@
 
 Every ideal of the semisimple quotient is generated by a unique sum of
 primitive idempotents, so the 2^r subset masks over the ordered factor
-list walk the whole lattice.  LCD has three derivations: subspace
+list walk the whole lattice; `_lattice` factors x^n - lam once and is
+this module's only way in.  LCD has three derivations: subspace
 intersection, the idempotent criterion (when lam^2 = 1), and the orbits
 of Frobenius o reciprocal on the factors (when lam^(1 + p^(m-k)) = 1;
-otherwise every ideal is LCD).  `enumerate_ideals` builds every code and
-decides by intersection; `search_lcd` decides by the orbits, visits only
-the LCD masks, and checks each record by one of the other two.  Records
-carry the code parameters, the LCD flags, and a comparison against a
+otherwise every ideal is LCD).  `iter_ideal_codes` yields every ideal
+with its code; `search_lcd` decides by the orbits, visits only the LCD
+masks, and checks each record by one of the other two.  Records carry
+the code parameters, the LCD flags, and a comparison against a
 best-known-codes table.  A built-in verifier replays four bundled
 reference examples of good LCD codes end to end.
 """
@@ -40,7 +41,7 @@ from .errors import (
     TooManyFactors,
 )
 from .gf import GF, FieldElem
-from .poly import Poly, _idempotents, factor_xn_minus_lambda, primitive_idempotents
+from .poly import Poly, _idempotents, factor_xn_minus_lambda
 from .talg import AlgebraCtx, AlgElem, elem_mul, involution_star
 
 MAX_FACTORS = 24
@@ -176,27 +177,23 @@ def _mask_element(ctx: AlgebraCtx, prims: Sequence[Poly], mask: int) -> AlgElem:
     return ctx.from_indices(e.indices)
 
 
-def iter_ideal_codes(
-    ctx: AlgebraCtx, seed: int = 0, max_factors: int = MAX_FACTORS
-) -> Iterator[tuple[int, AlgElem, LinearCode]]:
+def iter_ideal_codes(ctx: AlgebraCtx, seed: int = 0) -> Iterator[tuple[int, AlgElem, LinearCode]]:
     """All 2^r ideals in ascending subset-mask order, as
     (mask, idempotent, code) triples; bit i of the mask selects the i-th
     primitive idempotent in the canonical factor order."""
-    prims = primitive_idempotents(ctx.field, ctx.n, ctx.lam, seed=seed)
-    r = len(prims)
-    if r > max_factors:
-        raise TooManyFactors(f"{r} irreducible factors exceed the limit {max_factors}")
-    for mask in range(1 << r):
+    _, prims = _lattice(ctx, seed)
+    for mask in range(1 << len(prims)):
         e = _mask_element(ctx, prims, mask)
         yield mask, e, ideal_from_element(e)
 
 
-def _lattice(ctx: AlgebraCtx, seed: int, max_factors: int) -> tuple[list[Poly], list[Poly]]:
+def _lattice(ctx: AlgebraCtx, seed: int) -> tuple[list[Poly], list[Poly]]:
     """The canonical factors of x^n - lam and their primitive idempotents,
-    from one factorization."""
+    from one factorization; more than MAX_FACTORS factors raise before
+    the idempotents are formed."""
     factors = factor_xn_minus_lambda(ctx.field, ctx.n, ctx.lam, seed=seed)
-    if len(factors) > max_factors:
-        raise TooManyFactors(f"{len(factors)} irreducible factors exceed the limit {max_factors}")
+    if len(factors) > MAX_FACTORS:
+        raise TooManyFactors(f"{len(factors)} irreducible factors exceed the limit {MAX_FACTORS}")
     return factors, _idempotents(ctx.field, ctx.n, ctx.lam, factors)
 
 
@@ -300,40 +297,6 @@ def _build_record(
     )
 
 
-def enumerate_ideals(
-    ctx: AlgebraCtx,
-    galois_ks: Optional[Sequence[int]] = None,
-    distances: bool = True,
-    budget: int = DEFAULT_BUDGET,
-    table: Optional[BestKnownTable] = None,
-    seed: int = 0,
-    max_factors: int = MAX_FACTORS,
-) -> Iterator[CodeRecord]:
-    """Stream a CodeRecord for every ideal of the context, ascending mask
-    order.  Needs gcd(n, p) = 1.  Subspace intersection decides LCD; the
-    factor orbits must agree wherever lam^(1 + p^(m-k)) = 1, and the
-    idempotent criterion wherever lam^2 = 1."""
-    ks = list(galois_ks) if galois_ks is not None else list(range(ctx.field.m))
-    if 0 not in ks:
-        ks = [0] + ks
-    factors, prims = _lattice(ctx, seed, max_factors)
-    orbits = {k: factor_orbits(ctx, factors, k) for k in ks}
-    lam2_trivial = ctx.lam * ctx.lam == ctx.field.one
-    for mask in range(1 << len(factors)):
-        e = _mask_element(ctx, prims, mask)
-        C = ideal_from_element(e)
-        flags = {}
-        for k in ks:
-            flag = flags[k] = is_lcd(C, k)
-            if orbits[k] is not None:
-                _agree(ctx, mask, k, flag, _is_union(mask, orbits[k]),
-                       "factor-orbit LCD criterion disagrees with subspace intersection")
-            if lam2_trivial:
-                _agree(ctx, mask, k, flag, check_idempotent_lcd(e, k),
-                       "idempotent LCD criterion disagrees with subspace intersection")
-        yield _build_record(ctx, mask, e, C.k, C, flags, distances, budget, table)
-
-
 def search_lcd(
     ctx: AlgebraCtx,
     k: int = 0,
@@ -342,7 +305,6 @@ def search_lcd(
     table: Optional[BestKnownTable] = None,
     seed: int = 0,
     min_dim: int = 0,
-    max_factors: int = MAX_FACTORS,
 ) -> list[CodeRecord]:
     """All k-Galois LCD ideals of the context, sorted by dimension then
     distance, both descending.
@@ -355,7 +317,7 @@ def search_lcd(
     lam^(1 + p^(m-k)) != 1 every ideal is LCD by the theorem.  A code is
     built only for that check and for the minimum distance.
     """
-    factors, prims = _lattice(ctx, seed, max_factors)
+    factors, prims = _lattice(ctx, seed)
     orbits = factor_orbits(ctx, factors, k)
     euclid = orbits if k == 0 else factor_orbits(ctx, factors, 0)
     lam2_trivial = ctx.lam * ctx.lam == ctx.field.one
@@ -503,8 +465,12 @@ def verify_reference_examples(
     dimensions and distances and are Euclidean LCD under both criteria,
     and lattice enumeration rediscovers the identical idempotents.  The
     seed drives the factorization behind that enumeration; the canonical
-    factor order keeps the report independent of it.
+    factor order keeps the report independent of it.  A name that
+    matches no example raises Error.
     """
+    unmatched = [s for s in names or () if not any(s in ex.name for ex in REFERENCE_EXAMPLES)]
+    if unmatched:
+        raise Error(f"no reference example matches {', '.join(map(repr, unmatched))}")
     report = VerifyReport()
     table = BestKnownTable.bundled()
     for ex in REFERENCE_EXAMPLES:

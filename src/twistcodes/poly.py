@@ -24,7 +24,7 @@ from .errors import (
     NotSquarefree,
     ZeroLambda,
 )
-from .gf import FieldElem, FieldSpec, prime_factors
+from .gf import FieldElem, FieldSpec
 
 
 class Poly:
@@ -60,11 +60,6 @@ class Poly:
     @classmethod
     def x(cls, field: FieldSpec) -> "Poly":
         return cls.from_indices(field, (0, 1))
-
-    @classmethod
-    def from_ints(cls, field: FieldSpec, ints: Sequence[int]) -> "Poly":
-        """Coefficients given as prime-subfield integers."""
-        return cls(field, ints)
 
     @classmethod
     def xn_minus(cls, field: FieldSpec, n: int, lam: FieldElem) -> "Poly":
@@ -246,33 +241,19 @@ def _terms(field: FieldSpec, indices: Sequence[int], var: str) -> str:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Irreducibility over GF(q) via the Frobenius-power divisibility test:
-    f of degree n is irreducible iff x^(q^n) = x mod f and
-    gcd(x^(q^(n/t)) - x, f) = 1 for every prime t | n."""
-    n = f.degree
-    if n < 1:
+    """Irreducibility over GF(q): f is irreducible iff the distinct-degree
+    split of its monic associate is the single part (f, deg f)."""
+    if f.degree < 1:
         raise ConstantPolynomial("irreducibility needs degree >= 1")
-    if n == 1:
-        return True
-    F = f.field
-    q = F.q
     fm = f.monic()
-    x = Poly.x(F) % fm
-    powers = {}  # i -> x^(q^i) mod fm
-    h = x
-    for i in range(1, n + 1):
-        h = h.pow_mod(q, fm)
-        powers[i] = h
-    if not (powers[n] - x).is_zero():
-        return False
-    for d in {n // t for t in prime_factors(n)}:
-        if not (powers[d] - x).gcd(fm).is_one():
-            return False
-    return True
+    return _ddf(fm) == [(fm, fm.degree)]
 
 
 def _ddf(f: Poly) -> list[tuple[Poly, int]]:
-    """Distinct-degree split of a monic squarefree f: [(product, degree)]."""
+    """Distinct-degree split of a monic f: [(product, degree)].  For a
+    squarefree f each product is that of the irreducible factors of its
+    degree.  Any reducible monic f has an irreducible factor of degree
+    <= deg/2, which the split finds even when f is not squarefree."""
     F = f.field
     q = F.q
     x = Poly.x(F)

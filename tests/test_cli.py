@@ -262,13 +262,13 @@ def test_verify_examples_subset(capsys):
 
 def test_verify_examples_seed_reaches_enumeration(capsys, monkeypatch):
     seeds = []
-    original = twistcodes.discover.primitive_idempotents
+    original = twistcodes.discover.factor_xn_minus_lambda
 
     def recording(field, n, lam, seed=0):
         seeds.append(seed)
         return original(field, n, lam, seed=seed)
 
-    monkeypatch.setattr(twistcodes.discover, "primitive_idempotents", recording)
+    monkeypatch.setattr(twistcodes.discover, "factor_xn_minus_lambda", recording)
     argv = ["verify-examples", "--example", "GF(3)", "--format", "json"]
     rc, out7 = run(capsys, argv + ["--seed", "7"])
     assert rc == 0
@@ -277,6 +277,28 @@ def test_verify_examples_seed_reaches_enumeration(capsys, monkeypatch):
     assert rc == 0
     # canonical factor order: only the header's seed differs
     assert out7.splitlines()[1:] == out0.splitlines()[1:]
+
+
+def test_verify_examples_filter_matching_nothing(capsys):
+    # one filter that matches nothing fails the run, also beside one that matches
+    for filters in (["--example", "nosuch"], ["--example", "GF(3)", "--example", "nosuch"]):
+        rc = main(["verify-examples", *filters])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "overall" not in captured.out
+        assert captured.err.strip() == "error: no reference example matches 'nosuch'"
+
+
+def test_factor_limit(capsys):
+    # x^28 - 1 splits into 28 linear factors over GF(29): the lattice walk
+    # refuses, the element path of `code` has no limit
+    rc = main(["search", "-q", "29", "-n", "28", "--lam", "1", "--no-distances"])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: 28 irreducible factors exceed the limit 24"
+    )
+    rc, out = run(capsys, ["code", "-q", "29", "-n", "28", "--lam", "1", "--mask", "3"])
+    assert rc == 0 and "[28,2] code over GF(29)" in out
 
 
 def test_verify_examples_full(capsys):

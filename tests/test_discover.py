@@ -1,19 +1,21 @@
 import pytest
 
-from twistcodes.errors import TableMissing, TableParseError
+from twistcodes.errors import TableMissing, TableParseError, TooManyFactors
 from twistcodes.gf import GF, FieldSpec
-from twistcodes.codes import dual
+from twistcodes.codes import check_idempotent_lcd, dual, is_lcd, min_distance
 from twistcodes.discover import (
     BestKnownTable,
     REFERENCE_EXAMPLES,
     Verdict,
-    enumerate_ideals,
+    factor_orbits,
     iter_ideal_codes,
     make_reference_ctx,
     search_lcd,
     verify_reference_examples,
+    _is_union,
     _verdict,
 )
+from twistcodes.poly import factor_xn_minus_lambda
 from twistcodes.talg import AlgebraCtx
 
 F3 = GF(3)
@@ -22,21 +24,24 @@ F9 = FieldSpec(3, 2, modulus=[1, 0, 1])
 
 CTX1 = AlgebraCtx(F3, 10, 2)
 E1 = CTX1.elem_from_dict({0: 2, 2: 2, 4: 1, 6: 2, 8: 1})
+# masks 0, 1, 6 and 7 of CTX1 are LCD, masks 2 to 5 are not
+CROSS_CHECK_CTXS = (CTX1, AlgebraCtx(F5, 9, 4), AlgebraCtx(F9, 8, 2))
 
 
 def test_enumeration_shape():
-    recs = list(enumerate_ideals(CTX1, table=BestKnownTable.bundled()))
-    assert len(recs) == 8  # x^10 - 2 has 3 irreducible factors over GF(3)
-    assert [r.subset_mask for r in recs] == list(range(8))
+    triples = list(iter_ideal_codes(CTX1))
+    assert len(triples) == 8  # x^10 - 2 has 3 irreducible factors over GF(3)
+    assert [mask for mask, _, _ in triples] == list(range(8))
+    recs = {r.subset_mask: r for r in search_lcd(CTX1, 0, table=BestKnownTable.bundled())}
     assert recs[0].k == 0 and recs[0].d is None
-    full = recs[-1]
+    full = recs[7]
     assert (full.k, full.d) == (10, 1)
-    dims = sorted(r.k for r in recs)
+    dims = sorted(C.k for _, _, C in triples)
     assert dims == [0, 2, 4, 4, 6, 6, 8, 10]
 
 
 def test_enumeration_finds_reference_record():
-    recs = list(enumerate_ideals(CTX1, table=BestKnownTable.bundled()))
+    recs = search_lcd(CTX1, 0, table=BestKnownTable.bundled())
     match = [r for r in recs if r.idempotent == E1]
     assert len(match) == 1
     r = match[0]
@@ -47,7 +52,7 @@ def test_enumeration_finds_reference_record():
 
 
 def test_records_serialize():
-    recs = list(enumerate_ideals(CTX1))
+    recs = search_lcd(CTX1, 0)
     for r in recs:
         d = r.to_dict()
         assert d["mask"] == r.subset_mask
@@ -56,7 +61,7 @@ def test_records_serialize():
 
 
 def test_records_carry_certificates_only_with_distances():
-    for r in enumerate_ideals(CTX1):
+    for r in search_lcd(CTX1, 0):
         d = r.to_dict()
         if r.k == 0:
             assert "certificate" not in d
@@ -67,19 +72,17 @@ def test_records_carry_certificates_only_with_distances():
             "work": r.certificate.work,
             "message_weight": r.certificate.message_weight,
         }
-    for r in enumerate_ideals(CTX1, distances=False):
+    for r in search_lcd(CTX1, 0, distances=False):
         d = r.to_dict()
         assert r.d is None and not {"d_lower", "d_upper", "certificate"} & set(d)
 
 
 def test_complementary_pair_structure():
     # e LCD iff 1 - e LCD, and the Euclidean dual of <e> is <1 - e>
-    for ctx in (CTX1, AlgebraCtx(F5, 9, 4), AlgebraCtx(F9, 8, 2)):
+    for ctx in CROSS_CHECK_CTXS:
         triples = {mask: (e, C) for mask, e, C in iter_ideal_codes(ctx)}
-        lcd = {
-            r.subset_mask: r.lcd_euclid
-            for r in enumerate_ideals(ctx, distances=False)
-        }
+        lcd_masks = {r.subset_mask for r in search_lcd(ctx, 0, distances=False)}
+        lcd = {mask: mask in lcd_masks for mask in triples}
         full_mask = max(triples)
         for mask, (e, C) in triples.items():
             comp_e, comp_C = triples[full_mask ^ mask]
@@ -90,18 +93,45 @@ def test_complementary_pair_structure():
                 assert dual(C, 0) == comp_C
 
 
+@pytest.mark.parametrize("ctx", CROSS_CHECK_CTXS, ids=["gf3-n10", "gf5-n9", "gf9-n8"])
+def test_lcd_criteria_agree_on_every_mask(ctx):
+    # subspace intersection is the reference: the factor orbits (where they
+    # decide) and the idempotent criterion (where lam^2 = 1) must agree with
+    # it on every ideal, and search_lcd must emit exactly its LCD masks
+    F = ctx.field
+    factors = factor_xn_minus_lambda(F, ctx.n, ctx.lam)
+    triples = list(iter_ideal_codes(ctx))
+    assert len(triples) == 1 << len(factors)
+    for k in range(F.m):
+        orbits = factor_orbits(ctx, factors, k)
+        lcd = set()
+        for mask, e, C in triples:
+            flag = is_lcd(C, k)
+            if flag:
+                lcd.add(mask)
+            if orbits is not None:
+                assert _is_union(mask, orbits) == flag, (mask, k)
+            if ctx.lam * ctx.lam == F.one:
+                assert check_idempotent_lcd(e, k) == flag, (mask, k)
+        assert {r.subset_mask for r in search_lcd(ctx, k, distances=False)} == lcd, k
+
+
 def test_search_sorted_and_filtered():
     recs = search_lcd(CTX1, 0, table=BestKnownTable.bundled())
     assert all(r.lcd_euclid for r in recs)
     dims = [r.k for r in recs]
     assert dims == sorted(dims, reverse=True)
     masks = {r.subset_mask for r in recs}
-    non_lcd = {
-        r.subset_mask
-        for r in enumerate_ideals(CTX1, distances=False)
-        if not r.lcd_euclid
-    }
+    non_lcd = {mask for mask, _, C in iter_ideal_codes(CTX1) if not is_lcd(C, 0)}
     assert masks.isdisjoint(non_lcd)
+
+
+def test_factor_limit():
+    # x^28 - 1 splits into 28 linear factors over GF(29)
+    ctx = AlgebraCtx(GF(29), 28, 1)
+    it = iter_ideal_codes(ctx)
+    with pytest.raises(TooManyFactors, match="28 irreducible factors exceed the limit 24"):
+        next(it)
 
 
 def test_search_fast_path_lam_order_gt_2():
@@ -163,10 +193,12 @@ def test_best_known_table_rejects_rows_beyond_the_bounds(tmp_path, row, message)
 
 def test_compare_verdicts():
     t = BestKnownTable.bundled()
-    recs = {r.k: r for r in enumerate_ideals(CTX1, table=t)}
+    recs = {r.k: r for r in search_lcd(CTX1, 0, table=t)}
     assert str(recs[8].verdict) == "optimal"
     assert recs[2].verdict == Verdict("suboptimal", 2)
-    assert recs[4].verdict.status == "unknown"
+    # masks 2 to 5 are not LCD: the last dimension-4 ideal is mask 4
+    C4 = {C.k: C for _, _, C in iter_ideal_codes(CTX1)}[4]
+    assert _verdict(min_distance(C4).d, t.lookup(3, 10, 4)).status == "unknown"
     r = recs[8]
     assert _verdict(r.d, None) == Verdict("unknown")
     assert _verdict(None, t.lookup(r.q, r.n, r.k)) == Verdict("unknown")

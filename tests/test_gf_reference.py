@@ -34,10 +34,10 @@ def test_index_arithmetic_matches_poly_reference(q, seed, data):
     i = data.draw(index_st, label="i")
     j = data.draw(index_st, label="j")
     e = data.draw(st.integers(0, 2 * q), label="e")
-    M = Poly.from_ints(Fp, F.modulus)
+    M = Poly(Fp, F.modulus)
 
     def poly(idx):
-        return Poly.from_ints(Fp, F.from_index(idx).coeffs)
+        return Poly(Fp, F.from_index(idx).coeffs)
 
     def index(P):
         return F.element([c.index for c in P.coeffs]).index

@@ -24,25 +24,25 @@ def rand_poly(F, deg, rng):
 
 
 def test_normalization():
-    assert Poly.from_ints(F3, [0, 0, 0]).is_zero()
-    assert Poly.from_ints(F3, [1, 2, 0]).degree == 1
+    assert Poly(F3, [0, 0, 0]).is_zero()
+    assert Poly(F3, [1, 2, 0]).degree == 1
     assert Poly.zero(F3).degree == -1
 
 
 def test_gcd_frozen():
     # x^2 - 1 and x - 1 share the root 1; monic gcd is x + 2 over GF(3)
-    g = Poly.from_ints(F3, [2, 0, 1]).gcd(Poly.from_ints(F3, [2, 1]))
-    assert g == Poly.from_ints(F3, [2, 1])
+    g = Poly(F3, [2, 0, 1]).gcd(Poly(F3, [2, 1]))
+    assert g == Poly(F3, [2, 1])
 
 
 def test_divmod_frozen():
     # remainder of x^9 - 4 at x = 1 is 1 - 4 = -3 = 2 mod 5
     f = Poly.xn_minus(F5, 9, F5.element(4))
-    q, r = divmod(f, Poly.from_ints(F5, [4, 1]))
+    q, r = divmod(f, Poly(F5, [4, 1]))
     assert q.degree == 8
-    assert r == Poly.from_ints(F5, [2])
+    assert r == Poly(F5, [2])
     assert f.eval(F5.one) == F5.element(2)
-    assert q * Poly.from_ints(F5, [4, 1]) + r == f
+    assert q * Poly(F5, [4, 1]) + r == f
 
 
 def test_divmod_random_roundtrip():
@@ -70,23 +70,23 @@ def test_xgcd_bezout():
             assert u * a + v * b == d
             assert d.is_monic
     # coprime pair: Bezout identity gives 1
-    d, u, v = Poly.from_ints(F3, [1, 0, 1]).xgcd(Poly.from_ints(F3, [1, 1]))
+    d, u, v = Poly(F3, [1, 0, 1]).xgcd(Poly(F3, [1, 1]))
     assert d.is_one()
-    assert u * Poly.from_ints(F3, [1, 0, 1]) + v * Poly.from_ints(F3, [1, 1]) == d
+    assert u * Poly(F3, [1, 0, 1]) + v * Poly(F3, [1, 1]) == d
 
 
 def test_is_irreducible_frozen():
-    assert is_irreducible(Poly.from_ints(F3, [1, 0, 1]))  # x^2+1, no root mod 3
-    assert not is_irreducible(Poly.from_ints(F3, [2, 0, 1]))  # (x-1)(x+1)
-    assert is_irreducible(Poly.from_ints(F7, [4, 1]))  # linear
+    assert is_irreducible(Poly(F3, [1, 0, 1]))  # x^2+1, no root mod 3
+    assert not is_irreducible(Poly(F3, [2, 0, 1]))  # (x-1)(x+1)
+    assert is_irreducible(Poly(F7, [4, 1]))  # linear
     with pytest.raises(ConstantPolynomial):
-        is_irreducible(Poly.from_ints(F3, [2]))
+        is_irreducible(Poly(F3, [2]))
 
 
 def test_is_irreducible_rejects_repeated_factors():
-    assert not is_irreducible(Poly.from_ints(F3, [1, 2, 1]))  # (x+1)^2
-    assert not is_irreducible(Poly.from_ints(F3, [0, 0, 1, 1]))  # x^2 (x+1)
-    assert is_irreducible(Poly.from_ints(F3, [2, 2, 0, 1]))  # x^3 - x - 1, no root
+    assert not is_irreducible(Poly(F3, [1, 2, 1]))  # (x+1)^2
+    assert not is_irreducible(Poly(F3, [0, 0, 1, 1]))  # x^2 (x+1)
+    assert is_irreducible(Poly(F3, [2, 2, 0, 1]))  # x^3 - x - 1, no root
 
 
 def test_is_irreducible_against_root_scan():
@@ -99,6 +99,28 @@ def test_is_irreducible_against_root_scan():
                 continue
             has_root = any(f.eval(F.from_index(i)).is_zero() for i in range(F.q))
             assert is_irreducible(f) == (not has_root)
+
+
+def _monic(F, deg):
+    """Every monic polynomial of the given degree over F."""
+    for i in range(F.q**deg):
+        yield Poly.from_indices(F, [i // F.q**j % F.q for j in range(deg)] + [1])
+
+
+@pytest.mark.parametrize("F, max_deg", [(F2, 5), (F3, 4)])
+def test_is_irreducible_against_products(F, max_deg):
+    # f is irreducible iff it is no product of two monic polynomials of
+    # lower positive degree
+    reducible = {
+        a * b
+        for da in range(1, max_deg)
+        for db in range(1, max_deg - da + 1)
+        for a in _monic(F, da)
+        for b in _monic(F, db)
+    }
+    for deg in range(1, max_deg + 1):
+        for f in _monic(F, deg):
+            assert is_irreducible(f) == (f not in reducible), f
 
 
 def test_factor_preconditions():
@@ -165,7 +187,7 @@ def test_factor_degrees_are_root_orbits(q, n, lam):
 
 
 def test_n_one_factor():
-    assert factor_xn_minus_lambda(F5, 1, F5.element(4)) == [Poly.from_ints(F5, [1, 1])]
+    assert factor_xn_minus_lambda(F5, 1, F5.element(4)) == [Poly(F5, [1, 1])]
 
 
 def test_primitive_idempotents_irreducible_case():
@@ -216,7 +238,7 @@ def test_factor_above_table_limit_in_characteristic_2():
 def test_idempotent_subset_matches_reference_element():
     # one subset of the primitive idempotents of F_5[x]/(x^9 - 4) sums to
     # the bundled [9,2,6] generator
-    target = Poly.from_ints(F5, [3, 4, 1, 2, 1, 4, 3, 4, 1])
+    target = Poly(F5, [3, 4, 1, 2, 1, 4, 3, 4, 1])
     es = primitive_idempotents(F5, 9, F5.element(4))
     sums = []
     for mask in range(1 << len(es)):
@@ -243,7 +265,7 @@ def test_idempotent_subset_sums_are_idempotent():
 
 
 def test_pow_mod():
-    f = Poly.from_ints(F5, [1, 0, 1])
+    f = Poly(F5, [1, 0, 1])
     x = Poly.x(F5)
     big = x.pow_mod(5**6, f)
     # match naive repeated squaring through the generic operator path
