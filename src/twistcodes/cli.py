@@ -4,12 +4,13 @@ Every subcommand echoes its configuration (including the seed) in an
 output header and supports two formats: a human-readable table that
 prints algebra elements in gbar notation, and JSON lines where each
 record is one object.  Identical configuration produces byte-identical
-output.
+output.  Commands add their records to an Emitter, and main prints them
+only after the command has returned.
 
 Exit status: 0 on success, 1 when a verification or certification fails
 (reference-example check failures, LCD criterion disagreement, distance
 budget exhausted) or the reader closes the output pipe early, 2 on usage
-or input errors.
+or input errors, with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .discover import (
 from .errors import BudgetExceeded, Error
 from .gf import GF, FieldElem, FieldSpec, norm_image_classes
 from .poly import Poly, factor_xn_minus_lambda, primitive_idempotents
-from .talg import AlgebraCtx, equivalence_witness
+from .talg import AlgebraCtx, AlgElem, equivalence_witness
 
 ENV_TABLE = "TWISTCODES_TABLE"
 
@@ -77,34 +78,11 @@ def parse_elem_seq(field: FieldSpec, text: str) -> list[FieldElem]:
     return [field.element(parts)]
 
 
-def make_ctx(args) -> AlgebraCtx:
-    field = parse_field(args)
-    return AlgebraCtx(field, args.n, parse_elem(field, args.lam))
-
-
 def load_table(args) -> Optional[BestKnownTable]:
-    path = getattr(args, "table", None) or os.environ.get(ENV_TABLE)
+    path = args.table or os.environ.get(ENV_TABLE)
     if path:
         return BestKnownTable.load(path)
     return BestKnownTable.bundled()
-
-
-def element_from_args(ctx: AlgebraCtx, args):
-    """The subject element of code-like subcommands: an explicit
-    idempotent, a generator polynomial, or a subset mask."""
-    given = [x is not None for x in (args.idempotent, args.genpoly, args.mask)]
-    if sum(given) != 1:
-        raise Error("exactly one of --idempotent, --genpoly, --mask is required")
-    if args.idempotent is not None:
-        return ctx.elem(parse_elem_seq(ctx.field, args.idempotent))
-    if args.genpoly is not None:
-        g = Poly(ctx.field, parse_elem_seq(ctx.field, args.genpoly))
-        g = g % Poly.xn_minus(ctx.field, ctx.n, ctx.lam)
-        return ctx.from_indices(g.indices)
-    prims = primitive_idempotents(ctx.field, ctx.n, ctx.lam, seed=args.seed)
-    if not 0 <= args.mask < (1 << len(prims)):
-        raise Error(f"mask {args.mask} out of range for {len(prims)} factors")
-    return _mask_element(ctx, prims, args.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -112,39 +90,61 @@ def element_from_args(ctx: AlgebraCtx, args):
 
 
 class Emitter:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
+    """Collects a command's output lines; main prints them once the command
+    has returned, so a command that fails prints nothing to stdout."""
 
-    def header(self, command: str, args, **extra):
-        rec = {
-            "record": "header",
-            "command": command,
-            "seed": args.seed,
-            "version": __version__,
-        }
-        rec.update(extra)
-        if self.fmt == "json":
-            print(json.dumps(rec, sort_keys=True))
-        else:
-            items = " ".join(f"{k}={rec[k]}" for k in sorted(extra))
-            print(f"# twistcodes {command} seed={args.seed} {items}".rstrip())
+    def __init__(self, args):
+        self.args = args
+        self.lines: list[str] = []
+
+    def header(self, **extra):
+        a = self.args
+        items = " ".join(f"{k}={extra[k]}" for k in sorted(extra))
+        self.record(
+            {"record": "header", "command": a.command, "seed": a.seed, "version": __version__, **extra},
+            lambda: f"# twistcodes {a.command} seed={a.seed} {items}".rstrip(),
+        )
 
     def record(self, rec: dict, human: Callable[[], str]):
-        """Print rec as JSON, or the line human() builds in table mode."""
-        if self.fmt == "json":
-            print(json.dumps(rec, sort_keys=True))
-        else:
-            print(human())
+        """Add rec as JSON, or the line human() builds in table mode."""
+        self.lines.append(json.dumps(rec, sort_keys=True) if self.args.format == "json" else human())
 
 
 def field_header(field: FieldSpec) -> dict:
     return {"q": field.q, "p": field.p, "m": field.m, "modulus": list(field.modulus)}
 
 
+def ctx_header(args, out: Emitter, **extra) -> AlgebraCtx:
+    """The algebra that -q, -n and --lam name; its header carries extra too."""
+    field = parse_field(args)
+    ctx = AlgebraCtx(field, args.n, parse_elem(field, args.lam))
+    out.header(**field_header(field), n=ctx.n, lam=str(ctx.lam), **extra)
+    return ctx
+
+
+def subject(args, out: Emitter, **extra) -> tuple[AlgebraCtx, AlgElem, LinearCode]:
+    """(ctx, e, <e>) of the code-like subcommands; e is an explicit
+    idempotent, a generator polynomial, or a subset mask."""
+    ctx = ctx_header(args, out, **extra)
+    F = ctx.field
+    given = [x is not None for x in (args.idempotent, args.genpoly, args.mask)]
+    if sum(given) != 1:
+        raise Error("exactly one of --idempotent, --genpoly, --mask is required")
+    if args.idempotent is not None:
+        e = ctx.elem(parse_elem_seq(F, args.idempotent))
+    elif args.genpoly is not None:
+        g = Poly(F, parse_elem_seq(F, args.genpoly)) % Poly.xn_minus(F, ctx.n, ctx.lam)
+        e = ctx.from_indices(g.indices)
+    else:
+        factors = factor_xn_minus_lambda(F, ctx.n, ctx.lam, seed=args.seed)
+        if not 0 <= args.mask < (1 << len(factors)):
+            raise Error(f"mask {args.mask} out of range for {len(factors)} factors")
+        e = _mask_element(ctx, primitive_idempotents(F, ctx.n, ctx.lam, factors), args.mask)
+    return ctx, e, ideal_from_element(e)
+
+
 def fmt_rows(code: LinearCode) -> str:
-    lines = []
-    for row in code.gen:
-        lines.append("  [" + " ".join(str(code.field.from_index(int(i))) for i in row) + "]")
+    lines = ["  [" + " ".join(code.field.index_str(int(i)) for i in row) + "]" for row in code.gen]
     return "\n".join(lines) if lines else "  (no rows)"
 
 
@@ -153,10 +153,8 @@ def fmt_rows(code: LinearCode) -> str:
 
 
 def cmd_factor(args, out: Emitter) -> int:
-    ctx = make_ctx(args)
-    out.header("factor", args, **field_header(ctx.field), n=ctx.n, lam=str(ctx.lam))
-    factors = factor_xn_minus_lambda(ctx.field, ctx.n, ctx.lam, seed=args.seed)
-    for i, f in enumerate(factors):
+    ctx = ctx_header(args, out)
+    for i, f in enumerate(factor_xn_minus_lambda(ctx.field, ctx.n, ctx.lam, seed=args.seed)):
         out.record(
             {"record": "factor", "index": i, "degree": f.degree, "coeffs": f.ser()},
             lambda: f"factor {i}: {f}",
@@ -165,10 +163,9 @@ def cmd_factor(args, out: Emitter) -> int:
 
 
 def cmd_idempotents(args, out: Emitter) -> int:
-    ctx = make_ctx(args)
-    out.header("idempotents", args, **field_header(ctx.field), n=ctx.n, lam=str(ctx.lam))
-    prims = primitive_idempotents(ctx.field, ctx.n, ctx.lam, seed=args.seed)
-    for i, p in enumerate(prims):
+    ctx = ctx_header(args, out)
+    factors = factor_xn_minus_lambda(ctx.field, ctx.n, ctx.lam, seed=args.seed)
+    for i, p in enumerate(primitive_idempotents(ctx.field, ctx.n, ctx.lam, factors)):
         e = ctx.from_indices(p.indices)
         out.record(
             {"record": "idempotent", "index": i, "coeffs": e.ser()},
@@ -178,10 +175,7 @@ def cmd_idempotents(args, out: Emitter) -> int:
 
 
 def cmd_code(args, out: Emitter) -> int:
-    ctx = make_ctx(args)
-    out.header("code", args, **field_header(ctx.field), n=ctx.n, lam=str(ctx.lam))
-    e = element_from_args(ctx, args)
-    C = ideal_from_element(e)
+    ctx, e, C = subject(args, out)
     out.record(
         {"record": "code", **C.to_dict(), "generator": e.ser()},
         lambda: f"[{C.n},{C.k}] code over GF({ctx.field.q}), generator {e}\n{fmt_rows(C)}",
@@ -190,12 +184,7 @@ def cmd_code(args, out: Emitter) -> int:
 
 
 def cmd_dual(args, out: Emitter) -> int:
-    ctx = make_ctx(args)
-    out.header(
-        "dual", args, **field_header(ctx.field), n=ctx.n, lam=str(ctx.lam), galois=args.galois
-    )
-    e = element_from_args(ctx, args)
-    C = ideal_from_element(e)
+    ctx, e, C = subject(args, out, galois=args.galois)
     D = dual(C, args.galois)
     m, k = ctx.field.m, args.galois
     shift_const = (ctx.lam.frobenius((m - k) % m)).inverse()
@@ -207,12 +196,7 @@ def cmd_dual(args, out: Emitter) -> int:
 
 
 def cmd_distance(args, out: Emitter) -> int:
-    ctx = make_ctx(args)
-    out.header(
-        "distance", args, **field_header(ctx.field), n=ctx.n, lam=str(ctx.lam), budget=args.budget
-    )
-    e = element_from_args(ctx, args)
-    C = ideal_from_element(e)
+    ctx, e, C = subject(args, out, budget=args.budget)
     try:
         cert = min_distance(C, budget=args.budget, method=args.method)
     except BudgetExceeded as exc:
@@ -236,12 +220,7 @@ def cmd_distance(args, out: Emitter) -> int:
 
 
 def cmd_lcd_check(args, out: Emitter) -> int:
-    ctx = make_ctx(args)
-    out.header(
-        "lcd-check", args, **field_header(ctx.field), n=ctx.n, lam=str(ctx.lam), galois=args.galois
-    )
-    e = element_from_args(ctx, args)
-    C = ideal_from_element(e)
+    ctx, e, C = subject(args, out, galois=args.galois)
     sub = is_lcd(C, args.galois)
     # the idempotent criterion needs a semisimple algebra and lam^2 = 1
     if gcd(ctx.n, ctx.field.p) != 1:
@@ -271,9 +250,7 @@ def cmd_equiv(args, out: Emitter) -> int:
     field = parse_field(args)
     lam = parse_elem(field, args.lam)
     beta = parse_elem(field, args.beta)
-    out.header(
-        "equiv", args, **field_header(field), n=args.n, lam=str(lam), beta=str(beta)
-    )
+    out.header(**field_header(field), n=args.n, lam=str(lam), beta=str(beta))
     w = equivalence_witness(field, args.n, lam, beta)
     out.record(
         {
@@ -289,7 +266,7 @@ def cmd_equiv(args, out: Emitter) -> int:
 
 def cmd_h2(args, out: Emitter) -> int:
     field = parse_field(args)
-    out.header("h2", args, **field_header(field), n=args.n)
+    out.header(**field_header(field), n=args.n)
     count, reps = norm_image_classes(field, args.n)
     out.record(
         {"record": "h2", "classes": count, "representatives": [r.ser() for r in reps]},
@@ -299,23 +276,13 @@ def cmd_h2(args, out: Emitter) -> int:
 
 
 def cmd_search(args, out: Emitter) -> int:
-    ctx = make_ctx(args)
-    out.header(
-        "search",
-        args,
-        **field_header(ctx.field),
-        n=ctx.n,
-        lam=str(ctx.lam),
-        galois=args.galois,
-        budget=args.budget,
-    )
-    table = load_table(args)
+    ctx = ctx_header(args, out, galois=args.galois, budget=args.budget)
     records = search_lcd(
         ctx,
         k=args.galois,
         distances=not args.no_distances,
         budget=args.budget,
-        table=table,
+        table=load_table(args),
         seed=args.seed,
         min_dim=args.min_dim,
     )
@@ -336,7 +303,7 @@ def cmd_search(args, out: Emitter) -> int:
 
 
 def cmd_verify_examples(args, out: Emitter) -> int:
-    out.header("verify-examples", args, budget=args.budget)
+    out.header(budget=args.budget)
     names = args.example if args.example else None
     report = verify_reference_examples(names=names, budget=args.budget, seed=args.seed)
     for ex in report.examples:
@@ -474,15 +441,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = Emitter(args.format)
+    out = Emitter(args)
     try:
-        return args.run(args, out)
+        rc = args.run(args, out)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (Error, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for line in out.lines:
+        print(line)
+    return rc
 
 
 def console_main():

@@ -41,7 +41,7 @@ from .errors import (
     TooManyFactors,
 )
 from .gf import GF, FieldElem
-from .poly import Poly, _idempotents, factor_xn_minus_lambda
+from .poly import Poly, factor_xn_minus_lambda, primitive_idempotents
 from .talg import AlgebraCtx, AlgElem, elem_mul, involution_star
 
 MAX_FACTORS = 24
@@ -194,7 +194,7 @@ def _lattice(ctx: AlgebraCtx, seed: int) -> tuple[list[Poly], list[Poly]]:
     factors = factor_xn_minus_lambda(ctx.field, ctx.n, ctx.lam, seed=seed)
     if len(factors) > MAX_FACTORS:
         raise TooManyFactors(f"{len(factors)} irreducible factors exceed the limit {MAX_FACTORS}")
-    return factors, _idempotents(ctx.field, ctx.n, ctx.lam, factors)
+    return factors, primitive_idempotents(ctx.field, ctx.n, ctx.lam, factors)
 
 
 def factor_orbits(ctx: AlgebraCtx, factors: Sequence[Poly], k: int) -> Optional[list[int]]:
@@ -508,7 +508,8 @@ def verify_reference_examples(
             idem = check_idempotent_lcd(elem, 0)
             rep.add(f"{label} Euclidean LCD (both criteria)", sub and idem)
         rep.add("dual<e> = <f>", dual(Ce, 0) == Cf)
-        found = [cand for _, cand, _C in iter_ideal_codes(ctx, seed=seed)]
+        _, prims = _lattice(ctx, seed)
+        found = [_mask_element(ctx, prims, mask) for mask in range(1 << len(prims))]
         rep.add(
             "enumeration rediscovers e and f",
             e in found and f in found,

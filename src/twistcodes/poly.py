@@ -8,8 +8,9 @@ and loops over indices.  Factorization runs distinct-degree
 factorization followed by Cantor-Zassenhaus equal-degree splitting with
 a seeded RNG, squaring by rows x^(2i) mod f in characteristic 2; the
 factor list is sorted by (degree, coefficient indices) so every
-downstream enumeration order is reproducible.  Idempotents take their
-CRT inverses from the derivative: h_i^(-1) = x f_i' (n lam)^(-1) mod f_i.
+downstream enumeration order is reproducible.  `primitive_idempotents`
+takes that list from its caller, so one factorization serves both; CRT
+inverses come from the derivative: h_i^(-1) = x f_i' (n lam)^(-1) mod f_i.
 """
 
 from __future__ import annotations
@@ -353,19 +354,14 @@ def factor_xn_minus_lambda(
 
 
 def primitive_idempotents(
-    field: FieldSpec, n: int, lam: FieldElem, seed: int = 0
+    field: FieldSpec, n: int, lam: FieldElem, factors: Sequence[Poly]
 ) -> list[Poly]:
-    """The primitive idempotents of F_q[x]/(x^n - lam), one per irreducible
-    factor f_i, ordered like factor_xn_minus_lambda.
+    """The primitive idempotents of F_q[x]/(x^n - lam), one per factor of
+    the canonical list factor_xn_minus_lambda returns, in its order.
 
     e_i = (h_i^{-1} mod f_i) * h_i mod (x^n - lam) with h_i = (x^n - lam)/f_i;
     they satisfy e_i^2 = e_i, e_i e_j = 0 for i != j, and sum e_i = 1.
     """
-    return _idempotents(field, n, lam, factor_xn_minus_lambda(field, n, lam, seed=seed))
-
-
-def _idempotents(field: FieldSpec, n: int, lam: FieldElem, factors: Sequence[Poly]) -> list[Poly]:
-    """The primitive idempotents of the given factor list of x^n - lam."""
     modulus, p, MUL = Poly.xn_minus(field, n, lam), field.p, field._mul
     # x^n - lam = f_i h_i differentiated, times x, mod f_i: n lam = x f_i' h_i (p does not divide n)
     unit = MUL[field._inv[MUL[n % p][lam.index]]]

@@ -42,13 +42,6 @@ class AlgebraCtx:
         self.field = field
         self.n = n
         self.lam = lam
-        if n > 1:
-            # sanity: gbar^n = lam * 1, walked one basis multiplication at a time
-            coef, exp = field.one, 0
-            for _ in range(n):
-                coef = coef * self.gamma(exp, 1)
-                exp = (exp + 1) % n
-            assert exp == 0 and coef == lam, "wrap cocycle failed gbar^n = lam"
 
     def gamma(self, i: int, j: int) -> FieldElem:
         """The wrap cocycle: lam when i+j >= n, else 1."""

@@ -342,6 +342,30 @@ def test_malformed_input_exit_2():
     assert main(["factor", "-q", "3", "-n", "10", "--lam", "0"]) == 2  # zero wrap unit
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        pytest.param(["search", "-q", "29", "-n", "28", "--lam", "1", "--no-distances"],
+                     "28 irreducible factors exceed the limit 24", id="search-factor-limit"),
+        pytest.param(["code", "-q", "3", "-n", "10", "--lam", "2", "--mask", "99"],
+                     "mask 99 out of range for 3 factors", id="code-mask-range"),
+        pytest.param(["verify-examples", "--example", "nosuch"],
+                     "no reference example matches 'nosuch'", id="verify-no-match"),
+        pytest.param(["search", "-q", "3", "-n", "10", "--lam", "2", "--table", "/nonexistent.csv"],
+                     "best-known table not found: /nonexistent.csv", id="search-table-missing"),
+        pytest.param(["dual", "-q", "9", "-n", "8", "--lam", "2", "--mask", "1", "--galois", "5"],
+                     "Galois parameter k = 5 outside 0..1", id="dual-galois-range"),
+    ],
+)
+def test_input_error_prints_nothing_to_stdout(capsys, argv, err, fmt):
+    # the header is printed only with the records, after the command succeeded
+    assert main(argv + ["--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_lcd_check_not_semisimple(capsys):
     # 3 | 6: no idempotent generator, but the subspace criterion is defined
     rc, out = run(

@@ -220,3 +220,24 @@ def test_verify_examples_small():
     labels = [c.label for c in rep.examples[0].checks]
     assert "e^2 = e" in labels
     assert any("rediscovers" in lbl for lbl in labels)
+
+
+def test_idempotents_formed_once_per_context(monkeypatch):
+    # the lattice walk forms its idempotents through the public poly entry,
+    # one call per context, in the search and in the reference verifier
+    import twistcodes.discover as discover
+
+    calls = []
+    original = discover.primitive_idempotents
+
+    def counting(field, n, lam, factors):
+        calls.append((field.q, n, lam.index))
+        return original(field, n, lam, factors)
+
+    monkeypatch.setattr(discover, "primitive_idempotents", counting)
+    search_lcd(CTX1, 0, distances=False)
+    assert calls == [(3, 10, 2)]
+    calls.clear()
+    rep = verify_reference_examples(names=["GF(3)", "n=9"])
+    assert rep.passed
+    assert calls == [(3, 10, 2), (5, 9, 4)]

@@ -27,7 +27,8 @@ def _context(q, n, lam_index):
     """The algebra, its canonical factors and its primitive idempotents."""
     ctx = AlgebraCtx(GF(q), n, GF(q).from_index(lam_index))
     F, lam = ctx.field, ctx.lam
-    return ctx, factor_xn_minus_lambda(F, n, lam), primitive_idempotents(F, n, lam)
+    factors = factor_xn_minus_lambda(F, n, lam)
+    return ctx, factors, primitive_idempotents(F, n, lam, factors)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

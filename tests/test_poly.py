@@ -192,7 +192,8 @@ def test_n_one_factor():
 
 def test_primitive_idempotents_irreducible_case():
     # x^2 - 2 = x^2 + 1 is irreducible over GF(3): single idempotent 1
-    assert primitive_idempotents(F3, 2, F3.element(2)) == [Poly.one(F3)]
+    lam = F3.element(2)
+    assert primitive_idempotents(F3, 2, lam, factor_xn_minus_lambda(F3, 2, lam)) == [Poly.one(F3)]
 
 
 def _assert_crt_identities(F, n, lam, es):
@@ -217,7 +218,8 @@ def _assert_crt_identities(F, n, lam, es):
 )
 def test_primitive_idempotents_crt_identities(F, n, lam):
     lam = F.element(lam)
-    _assert_crt_identities(F, n, lam, primitive_idempotents(F, n, lam))
+    es = primitive_idempotents(F, n, lam, factor_xn_minus_lambda(F, n, lam))
+    _assert_crt_identities(F, n, lam, es)
 
 
 def test_factor_above_table_limit_in_characteristic_2():
@@ -232,14 +234,15 @@ def test_factor_above_table_limit_in_characteristic_2():
         assert f.is_monic and is_irreducible(f)
         prod = prod * f
     assert prod == Poly.xn_minus(F, 21, F.one)
-    _assert_crt_identities(F, 21, F.one, primitive_idempotents(F, 21, F.one))
+    _assert_crt_identities(F, 21, F.one, primitive_idempotents(F, 21, F.one, factors))
 
 
 def test_idempotent_subset_matches_reference_element():
     # one subset of the primitive idempotents of F_5[x]/(x^9 - 4) sums to
     # the bundled [9,2,6] generator
     target = Poly(F5, [3, 4, 1, 2, 1, 4, 3, 4, 1])
-    es = primitive_idempotents(F5, 9, F5.element(4))
+    lam = F5.element(4)
+    es = primitive_idempotents(F5, 9, lam, factor_xn_minus_lambda(F5, 9, lam))
     sums = []
     for mask in range(1 << len(es)):
         s = Poly.zero(F5)
@@ -253,7 +256,7 @@ def test_idempotent_subset_matches_reference_element():
 def test_idempotent_subset_sums_are_idempotent():
     F, n, lam = F5, 21, F5.element(4)
     M = Poly.xn_minus(F, n, lam)
-    es = primitive_idempotents(F, n, lam)
+    es = primitive_idempotents(F, n, lam, factor_xn_minus_lambda(F, n, lam))
     rng = random.Random(6)
     for _ in range(12):
         mask = rng.randrange(1 << len(es))
