@@ -105,9 +105,18 @@ class Emitter:
             lambda: f"# twistcodes {a.command} seed={a.seed} {items}".rstrip(),
         )
 
-    def record(self, rec: dict, human: Callable[[], str]):
-        """Add rec as JSON, or the line human() builds in table mode."""
-        self.lines.append(json.dumps(rec, sort_keys=True) if self.args.format == "json" else human())
+    def record(self, rec: dict, human: Callable[[], str], raw: Optional[dict] = None):
+        """Add rec as JSON, or the line human() builds in table mode.  raw maps
+        further keys to their JSON text, already rendered; the line is still
+        json.dumps of the whole record with sorted keys."""
+        if self.args.format != "json":
+            line = human()
+        elif raw is None:
+            line = json.dumps(rec, sort_keys=True)
+        else:
+            text = {k: json.dumps(v, sort_keys=True) for k, v in rec.items()} | raw
+            line = "{" + ", ".join(f"{json.dumps(k)}: {text[k]}" for k in sorted(text)) + "}"
+        self.lines.append(line)
 
 
 def field_header(field: FieldSpec) -> dict:
@@ -156,8 +165,9 @@ def cmd_factor(args, out: Emitter) -> int:
     ctx = ctx_header(args, out)
     for i, f in enumerate(factor_xn_minus_lambda(ctx.field, ctx.n, ctx.lam, seed=args.seed)):
         out.record(
-            {"record": "factor", "index": i, "degree": f.degree, "coeffs": f.ser()},
+            {"record": "factor", "index": i, "degree": f.degree},
             lambda: f"factor {i}: {f}",
+            raw={"coeffs": ctx.field.ser_json(f.indices)},
         )
     return 0
 
@@ -168,8 +178,9 @@ def cmd_idempotents(args, out: Emitter) -> int:
     for i, p in enumerate(primitive_idempotents(ctx.field, ctx.n, ctx.lam, factors)):
         e = ctx.from_indices(p.indices)
         out.record(
-            {"record": "idempotent", "index": i, "coeffs": e.ser()},
+            {"record": "idempotent", "index": i},
             lambda: f"e_{i} = {e}",
+            raw={"coeffs": ctx.field.ser_json(e.indices)},
         )
     return 0
 

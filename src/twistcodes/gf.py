@@ -8,14 +8,17 @@ coordinate tuple.
 Multiplication has one definition: take every product a_s b_t of the
 base-p digits mod p and sum them against the precomputed rows
 x^(s+t) mod modulus, batched over leading axes.  For q <= 256 the field
-applies it to all pairs, a block of rows at a time, and keeps full
-operation tables (numpy arrays for the matrix and distance kernels in
-:mod:`twistcodes.codes`, python-list copies and a digit table for scalar
-work); inverse and Frobenius are read from the multiplication table.
-Above 256 every operation is computed per call (addition and negation
-digitwise, products by the same multiplication on a single pair,
-inverse by extended Euclid over GF(p), Frobenius as a power), and the
-list tables become stand-ins that compute an entry when it is read.
+applies it to one row at a time until it finds a generator g of F_q^*
+(the modulus need not be primitive), and gathers the multiplication,
+inverse and Frobenius tables from the exp/log arrays of g; addition and
+negation are digitwise.  It keeps full operation tables (numpy arrays
+for the matrix and distance kernels in :mod:`twistcodes.codes`,
+python-list copies, a digit table and each index's JSON text for scalar
+work and output).  Above 256 every operation is computed per call
+(addition and negation digitwise, products by the same multiplication
+on a single pair, inverse by extended Euclid over GF(p), Frobenius as a
+power), and the list tables become stand-ins that compute an entry when
+it is read.
 Prime fields work with integers mod p throughout.  The modulus search
 and validation use :mod:`twistcodes.poly` over GF(p); each seeded
 search runs once per process.
@@ -43,7 +46,6 @@ from .errors import (
 
 MAX_PRIME = 1 << 16
 TABLE_LIMIT = 256
-_TABLE_BLOCK = 1 << 16  # int64 digit products held at once while building tables
 
 
 def is_prime(n: int) -> bool:
@@ -259,6 +261,7 @@ class FieldSpec:
             self._mul = _OnDemand(_OnDemand, self.mul_index)
             self._neg, self._inv = _OnDemand(self.neg_index), _OnDemand(self.inv_index)
             self._frob, self._digits = _OnDemand(self.frob_index), _OnDemand(self._coeffs_of)
+            self._json = _OnDemand(self._json_of)
 
     # -- identity ----------------------------------------------------------
 
@@ -365,30 +368,49 @@ class FieldSpec:
         return red[np.add.outer(np.arange(m), np.arange(m)).ravel()]
 
     def _build_tables(self):
+        """Addition and negation digit by digit; multiplication, inverse and
+        Frobenius gathered from the exp/log arrays of a generator of F_q^*.
+        No temporary exceeds q^2 small integers."""
         q, p, m = self.q, self.p, self.m
         r = np.arange(q, dtype=np.int64)
         place = p ** np.arange(m, dtype=np.int64)
         digits = r[:, None] // place % p
-        if m == 1:
-            # residues are their own digits, and Frobenius is the identity
-            add, mul, neg, frob = (r[:, None] + r) % p, r[:, None] * r % p, -r % p, r
-        else:
-            add = np.empty((q, q), dtype=np.uint8)
-            mul = np.empty((q, q), dtype=np.uint8)
-            step = max(1, _TABLE_BLOCK // (q * m * m))
-            for lo in range(0, q, step):
-                rows = digits[lo : lo + step, None, :]
-                add[lo : lo + step] = (rows + digits) % p @ place
-                mul[lo : lo + step] = self._mul_digits(rows, digits) @ place
-            neg = (-digits) % p @ place
-            frob = _power(r, p, np.ones(q, dtype=np.int64), lambda a, b: mul[a, b])
-        inv = np.argmax(mul == 1, axis=1)  # row 0 has no 1: inv[0] = 0
-        self.np_add, self.np_mul, self.np_neg, self.np_inv, self.np_frob = (
-            t.astype(np.uint8) for t in (add, mul, neg, inv, frob)
-        )
+        add = np.zeros((q, q), dtype=np.uint16)  # a sum of two residues fits in 16 bits
+        for k in range(m):
+            d = digits[:, k].astype(np.uint16)
+            add += (d[:, None] + d) % p * place[k].item()
+        exp = self._generator_powers(digits, place)
+        log = np.zeros(q, dtype=np.uint16)
+        log[exp] = np.arange(q - 1)
+        exp2 = np.concatenate((exp, exp))  # exp2[a + b] = g^(a + b) for a, b < q - 1
+        mul, inv, frob = np.zeros((q, q), np.uint8), np.zeros(q, np.uint8), np.zeros(q, np.uint8)
+        mul[1:, 1:] = exp2[log[1:, None] + log[1:]]
+        inv[1:] = exp2[q - 1 - log[1:]]  # inv[0] = 0
+        frob[1:] = exp[p * log[1:].astype(np.int64) % (q - 1)]
+        self.np_add, self.np_mul, self.np_inv, self.np_frob = add.astype(np.uint8), mul, inv, frob
+        self.np_neg = ((-digits) % p @ place).astype(np.uint8)
         self._add, self._mul, self._neg, self._inv, self._frob, self._digits = (
-            t.tolist() for t in (add, mul, neg, inv, frob, digits)
+            t.tolist() for t in (self.np_add, mul, self.np_neg, inv, frob, digits)
         )
+        self._json = list(map(self._json_of, range(q)))
+
+    def _generator_powers(self, digits: np.ndarray, place: np.ndarray) -> np.ndarray:
+        """exp[k] = g^k for the first g whose powers cover F_q^*, each candidate
+        tried by walking its multiplication row; q <= 256.  The units of GF(p)
+        generate no more than GF(p)^*, so for m > 1 the search starts at x."""
+        q = self.q
+        for g in range(self.p if self.m > 1 else 1, q):
+            if self.m == 1:
+                row = (g * digits[:, 0] % self.p).tolist()
+            else:
+                row = (self._mul_digits(digits[g], digits) @ place).tolist()
+            exp, e = [1], row[1]
+            while e != 1:
+                exp.append(e)
+                e = row[e]
+            if len(exp) == q - 1:
+                return np.array(exp, dtype=np.uint8)
+        raise AssertionError("F_q^* is cyclic")
 
     # -- element constructors ------------------------------------------------
 
@@ -425,6 +447,13 @@ class FieldSpec:
     def ser(self, indices: Sequence[int]) -> list:
         """The elements of the given indices as residues, or coordinate lists."""
         return list(indices) if self.m == 1 else [self._digits[i][:] for i in indices]
+
+    def _json_of(self, i: int) -> str:
+        return str(self.ser((i,))[0])  # an int's or int list's str is its JSON text
+
+    def ser_json(self, indices: Sequence[int]) -> str:
+        """json.dumps(self.ser(indices)), joined from the text of each index."""
+        return "[" + ", ".join(map(self._json.__getitem__, indices)) + "]"
 
     def index_str(self, i: int) -> str:
         """The printed element of index i: its residue, or "(c0,c1,...)"."""

@@ -6,11 +6,13 @@ indices, trimmed so the leading one is nonzero; FieldElem appears only
 at the boundary.  Each operation binds the field's operation tables once
 and loops over indices.  Factorization runs distinct-degree
 factorization followed by Cantor-Zassenhaus equal-degree splitting with
-a seeded RNG, squaring by rows x^(2i) mod f in characteristic 2; the
-factor list is sorted by (degree, coefficient indices) so every
-downstream enumeration order is reproducible.  `primitive_idempotents`
-takes that list from its caller, so one factorization serves both; CRT
-inverses come from the derivative: h_i^(-1) = x f_i' (n lam)^(-1) mod f_i.
+a seeded RNG, by the absolute trace in every characteristic, raised to
+the p-th power by rows x^(p i) mod f; the factor list is sorted by
+(degree, coefficient indices) so every downstream enumeration order is
+reproducible.  `primitive_idempotents` takes that list from its caller,
+so one factorization serves both; the cofactors h_i = (x^n - lam)/f_i
+come from their recurrence, and CRT inverses from the derivative:
+h_i^(-1) = x f_i' (n lam)^(-1) mod f_i.
 """
 
 from __future__ import annotations
@@ -276,50 +278,49 @@ def _ddf(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _squarer(f: Poly):
-    """t -> t^2 = sum c_i^2 x^(2i) mod f in characteristic 2, deg t < deg f: terms
-    with 2i < deg f are placed directly, the others added from rows x^(2i) mod f."""
-    F, D = f.field, f.degree
+def _pth_power(f: Poly):
+    """t -> t^p = sum c_i^p x^(p i) mod f, p the characteristic, deg t < deg f:
+    terms with p i < deg f are placed directly, the others added from rows
+    x^(p i) mod f, built from X = x^p mod f."""
+    F, D, p = f.field, f.degree, f.field.p
     ADD, MUL, FROB = F._add, F._mul, F._frob
-    half, x2, rows = (D + 1) // 2, Poly.from_indices(F, (0, 0, 1)), []
-    r = Poly.from_indices(F, [0] * (2 * half) + [1]) % f
-    for _ in range(half, D):  # r runs through x^(2i) mod f, padded to length D
+    low, rows = -(-D // p), []  # the first i with p i >= D
+    X = Poly.x(F).pow_mod(p, f)  # x^p itself when p < D
+    r = (Poly.from_indices(F, [0] * (p * low - p) + [1]) * X) % f
+    for _ in range(low, D):  # r runs through x^(p i) mod f, padded to length D
         rows.append(r.indices + (0,) * (D - len(r.indices)))
-        r = (x2 * r) % f
+        r = (X * r) % f
 
-    def square(t: Poly) -> Poly:
+    def power(t: Poly) -> Poly:
         out = [0] * D
-        for i, c in enumerate(t.indices[:half]):
-            out[2 * i] = FROB[c]
-        for c, row in zip(t.indices[half:], rows):
+        for i, c in enumerate(t.indices[:low]):
+            out[p * i] = FROB[c]
+        for c, row in zip(t.indices[low:], rows):
             if c:
                 mc = MUL[FROB[c]]
                 out = [ADD[o][mc[y]] for o, y in zip(out, row)]
         return Poly.from_indices(F, out)
 
-    return square
+    return power
 
 
 def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus equal-degree splitting: f is a monic squarefree
-    product of irreducibles, all of degree d."""
+    product of irreducibles, all of degree d.  A random r of degree < deg f
+    has, modulo each factor, an absolute trace T in GF(p); f splits by
+    gcd(T, f) for p = 2, or by gcd(T^((p-1)/2) - 1, f)."""
     if f.degree == d:
         return [f]
     F = f.field
-    q, p, m = F.q, F.p, F.m
-    square = _squarer(f) if p == 2 else None
+    q, p, k = F.q, F.p, F.m * d
+    power = _pth_power(f) if k > 1 else None
     while True:
         r = Poly.from_indices(F, [rng.randrange(q) for _ in range(f.degree)])
-        if p == 2:
-            # trace of r from F_{q^d} down to GF(2); deg r < deg f
-            s, t = Poly.zero(F), r
-            for _ in range(m * d):
-                s = s + t
-                t = square(t)
-            g = s.gcd(f)
-        else:
-            s = r.pow_mod((q**d - 1) // 2, f)
-            g = (s - Poly.one(F)).gcd(f)
+        s = t = r
+        for _ in range(k - 1):  # s = sum of r^(p^j), j < k
+            t = power(t)
+            s = s + t
+        g = s.gcd(f) if p == 2 else (s.pow_mod((p - 1) // 2, f) - Poly.one(F)).gcd(f)
         if not g.is_one() and g.degree < f.degree:
             break
     return _edf(g, d, rng) + _edf(f // g, d, rng)
@@ -353,6 +354,24 @@ def factor_xn_minus_lambda(
     return factors
 
 
+def _cofactor(f: Poly, n: int) -> Poly:
+    """h = (x^n - lam) / f for a monic factor f of x^n - lam, of degree d: the
+    coefficients of x^d, ..., x^(n-1) in f h vanish, so h_j = -sum_(t<d)
+    f_t h_(j+d-t), taken from the top down from h_(n-d) = 1."""
+    F, d = f.field, f.degree
+    ADD, MUL, NEG = F._add, F._mul, F._neg
+    rows = [MUL[NEG[c]] for c in f.indices[:d]]  # -f_0, ..., -f_(d-1)
+    top, lower = rows[-1], rows[:-1]
+    h = [0] * (d - 1) + [1]  # h_(n-d), h_(n-d-1), ... after d - 1 zeros above the top
+    for _ in range(n - d):
+        acc = top[h[-1]]
+        if lower:  # a linear factor has none
+            for row, y in zip(lower, h[-d:-1]):
+                acc = ADD[acc][row[y]]
+        h.append(acc)
+    return Poly.from_indices(F, h[d - 1 :][::-1])
+
+
 def primitive_idempotents(
     field: FieldSpec, n: int, lam: FieldElem, factors: Sequence[Poly]
 ) -> list[Poly]:
@@ -362,12 +381,12 @@ def primitive_idempotents(
     e_i = (h_i^{-1} mod f_i) * h_i mod (x^n - lam) with h_i = (x^n - lam)/f_i;
     they satisfy e_i^2 = e_i, e_i e_j = 0 for i != j, and sum e_i = 1.
     """
-    modulus, p, MUL = Poly.xn_minus(field, n, lam), field.p, field._mul
+    p, MUL = field.p, field._mul
     # x^n - lam = f_i h_i differentiated, times x, mod f_i: n lam = x f_i' h_i (p does not divide n)
     unit = MUL[field._inv[MUL[n % p][lam.index]]]
     out = []
     for fi in factors:
         u = Poly.from_indices(field, [unit[MUL[i % p][c]] for i, c in enumerate(fi.indices)]) % fi
-        out.append(u * (modulus // fi))  # degree < n: already reduced
+        out.append(u * _cofactor(fi, n))  # degree < n: already reduced
     assert sum(out, Poly.zero(field)).is_one(), "by the CRT, sum e_i = 1 iff every inverse is right"
     return out

@@ -9,6 +9,9 @@ import pytest
 
 import twistcodes.discover
 from twistcodes.cli import main
+from twistcodes.gf import GF
+from twistcodes.poly import factor_xn_minus_lambda, primitive_idempotents
+from twistcodes.talg import AlgebraCtx
 
 E1_SEQ = "2,0,2,0,1,0,2,0,1,0"
 
@@ -50,6 +53,42 @@ def test_factor_table_and_json(capsys):
     assert recs[0]["record"] == "header"
     degs = sorted(r["degree"] for r in recs if r["record"] == "factor")
     assert degs == [2, 4, 4]
+
+
+FRAGMENT_CONTEXTS = [
+    ("3", "2", "2"),  # m = 1; the one idempotent, 1, is padded to n
+    ("3", "10", "2"),  # m = 1, lam != 1
+    ("5", "12", "1"),  # m = 1
+    ("9", "8", "1"),  # m > 1
+    ("4", "21", "0,1"),  # m > 1, lam != 1
+    ("256", "17", "1"),  # m > 1, the largest table field
+    ("729", "13", "1"),  # q > 256: each index's text computed when read
+    ("257", "16", "1"),  # q > 256, m = 1
+]
+
+
+@pytest.mark.parametrize("q,n,lam", FRAGMENT_CONTEXTS)
+def test_coefficient_json_equals_json_dumps(capsys, q, n, lam):
+    """idempotents and factor join per-index JSON fragments; every line is
+    still json.dumps(rec, sort_keys=True) of the record built from ser()."""
+    F = GF(int(q))
+    lam_e = F.element([int(c) for c in lam.split(",")])
+    factors = factor_xn_minus_lambda(F, int(n), lam_e)
+    ctx = AlgebraCtx(F, int(n), lam_e)
+    es = primitive_idempotents(F, int(n), lam_e, factors)
+    want = {
+        "factor": [{"record": "factor", "index": i, "degree": f.degree, "coeffs": f.ser()}
+                   for i, f in enumerate(factors)],
+        "idempotents": [{"record": "idempotent", "index": i, "coeffs": ctx.from_indices(e.indices).ser()}
+                        for i, e in enumerate(es)],
+    }
+    # idempotent vectors are padded to n, factor coefficients trimmed
+    assert all(len(r["coeffs"]) == int(n) for r in want["idempotents"])
+    assert all(len(r["coeffs"]) == r["degree"] + 1 for r in want["factor"])
+    for command, recs in want.items():
+        rc, out = run(capsys, [command, "-q", q, "-n", n, "--lam", lam, "--format", "json"])
+        assert rc == 0
+        assert out.splitlines()[1:] == [json.dumps(r, sort_keys=True) for r in recs]
 
 
 def test_code_from_idempotent(capsys):

@@ -2,6 +2,7 @@
 arithmetic from :mod:`twistcodes.poly`, modulo the field's modulus."""
 
 import functools
+import json
 
 import pytest
 
@@ -10,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from twistcodes.gf import GF  # noqa: E402
+from twistcodes.gf import GF, FieldSpec  # noqa: E402
 from twistcodes.poly import Poly  # noqa: E402
 
 # Fields for the differential test: prime and extension fields with tables
@@ -63,3 +64,40 @@ def test_index_arithmetic_matches_poly_reference(q, seed, data):
         assert F.np_neg[i] == neg
         assert F.np_frob[i] == frob
         assert F.np_inv[i] == inv
+
+
+# Moduli under which x does not generate F_q^*, so the discrete-log tables
+# rest on another generator: x^2 + 1 over GF(3) (x has order 4),
+# x^4 + x^3 + x^2 + x + 1 over GF(2) (order 5), and the AES modulus
+# x^8 + x^4 + x^3 + x + 1 over GF(2) (order 51).
+NON_PRIMITIVE = ((3, (1, 0, 1), 4), (2, (1, 1, 1, 1, 1), 5), (2, (1, 1, 0, 1, 1, 0, 0, 0, 1), 51))
+
+
+@pytest.mark.parametrize("p,modulus,order", NON_PRIMITIVE)
+def test_tables_under_non_primitive_modulus(p, modulus, order):
+    """Every list and numpy table equals the GF(p)[x] reference values."""
+    F, Fp = FieldSpec(p, len(modulus) - 1, modulus), GF(p)
+    q, M = F.q, Poly(Fp, F.modulus)
+    x = Poly.x(Fp)
+    assert x.pow_mod(order, M).is_one() and not any(
+        x.pow_mod(k, M).is_one() for k in range(1, order)
+    )
+    assert order < q - 1
+    polys = [Poly(Fp, F._coeffs_of(i)) for i in range(q)]
+
+    def index(P):
+        return F._index_of([c.index for c in P.coeffs])
+
+    ref = {
+        "add": [[index((A + B) % M) for B in polys] for A in polys],
+        "mul": [[index((A * B) % M) for B in polys] for A in polys],
+        "neg": [index((-A) % M) for A in polys],
+        "inv": [0] + [index(A.xgcd(M)[1] % M) for A in polys[1:]],  # numpy's entry for zero
+        "frob": [index(A.pow_mod(p, M)) for A in polys],
+    }
+    for name, want in ref.items():
+        assert getattr(F, "_" + name) == want, name
+        assert getattr(F, "np_" + name).tolist() == want, name
+    digits = [[i // p**k % p for k in range(F.m)] for i in range(q)]
+    assert F._digits == digits
+    assert F._json == [json.dumps(d) for d in digits]

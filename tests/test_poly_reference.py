@@ -12,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from twistcodes.gf import GF  # noqa: E402
-from twistcodes.poly import Poly, _squarer  # noqa: E402
+from twistcodes.poly import Poly, _pth_power  # noqa: E402
 
 # prime and extension fields with tables, and the scalar paths above 256
 DIFF_QS = (2, 3, 7, 4, 8, 9, 16, 25, 256, 257, 729)
@@ -151,12 +151,19 @@ def test_poly_matches_digit_reference(q, data):
     assert idx(A.gcd(B)) == ref[0]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(q=st.sampled_from((2, 4, 256, 512)), data=st.data())
-def test_char2_squarer_matches_product(q, data):
-    """The x^(2i) mod f row table squares exactly as (t * t) % f does."""
-    F = _fields(q)[0]
-    coef = st.integers(0, q - 1)
-    f = Poly.from_indices(F, data.draw(st.lists(coef, min_size=1, max_size=12), label="f") + [1])
-    t = Poly.from_indices(F, data.draw(st.lists(coef, max_size=f.degree), label="t"))
-    assert _squarer(f)(t) == (t * t) % f
+# every characteristic the splitting meets: prime and extension fields with
+# tables, p > deg f (GF(257)), and the scalar paths above 256
+POWER_QS = (2, 3, 4, 5, 7, 9, 25, 27, 49, 256, 257, 512, 729)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pth_power_rows_match_pow_mod(data):
+    """The x^(p i) mod f row table raises to the p-th power exactly as
+    t.pow_mod(p, f) does, in every field of POWER_QS."""
+    for q in POWER_QS:
+        F = _fields(q)[0]
+        coef = st.integers(0, q - 1)
+        f = Poly.from_indices(F, data.draw(st.lists(coef, min_size=1, max_size=12), label="f") + [1])
+        t = Poly.from_indices(F, data.draw(st.lists(coef, max_size=f.degree), label="t"))
+        assert _pth_power(f)(t) == t.pow_mod(F.p, f)
