@@ -14,11 +14,13 @@ inverse and Frobenius tables from the exp/log arrays of g; addition and
 negation are digitwise.  It keeps full operation tables (numpy arrays
 for the matrix and distance kernels in :mod:`twistcodes.codes`,
 python-list copies, a digit table and each index's JSON text for scalar
-work and output).  Above 256 every operation is computed per call
-(addition and negation digitwise, products by the same multiplication
-on a single pair, inverse by extended Euclid over GF(p), Frobenius as a
-power), and the list tables become stand-ins that compute an entry when
-it is read.
+work and output), and the exp/log lists themselves, from which
+`nth_roots` reads the n-th roots of a unit in O(gcd(n, q - 1)) steps.
+Above 256 every operation is computed per call (addition and negation
+digitwise, products by the same multiplication on a single pair,
+inverse by extended Euclid over GF(p), Frobenius as a power), the list
+tables become stand-ins that compute an entry when it is read, and
+`nth_roots` scans the units.
 Prime fields work with integers mod p throughout.  The modulus search
 and validation use :mod:`twistcodes.poly` over GF(p); each seeded
 search runs once per process.
@@ -252,6 +254,7 @@ class FieldSpec:
 
         self._reduction = self._reduction_rows() if m > 1 else None
         self.np_add = self.np_mul = self.np_neg = self.np_inv = self.np_frob = None
+        self.exp = self.log = None  # exp[k] = g^k and log[g^k] = k, q <= 256 only
         if self.q <= TABLE_LIMIT:
             self._build_tables()
         else:
@@ -389,8 +392,8 @@ class FieldSpec:
         frob[1:] = exp[p * log[1:].astype(np.int64) % (q - 1)]
         self.np_add, self.np_mul, self.np_inv, self.np_frob = add.astype(np.uint8), mul, inv, frob
         self.np_neg = ((-digits) % p @ place).astype(np.uint8)
-        self._add, self._mul, self._neg, self._inv, self._frob, self._digits = (
-            t.tolist() for t in (self.np_add, mul, self.np_neg, inv, frob, digits)
+        self._add, self._mul, self._neg, self._inv, self._frob, self._digits, self.exp, self.log = (
+            t.tolist() for t in (self.np_add, mul, self.np_neg, inv, frob, digits, exp, log)
         )
         self._json = list(map(self._json_of, range(q)))
 
@@ -411,6 +414,23 @@ class FieldSpec:
             if len(exp) == q - 1:
                 return np.array(exp, dtype=np.uint8)
         raise AssertionError("F_q^* is cyclic")
+
+    def nth_roots(self, n: int, target: int) -> list[int]:
+        """Ascending indices of all a with a^n = target, for a unit index
+        target and n >= 1.  With a log table, a = g^L solves n L = log target
+        mod q - 1: none unless c = gcd(n, q - 1) divides log target, else the
+        c exponents L0 + j (q - 1)/c.  Above 256 the units are scanned."""
+        if target == 0:
+            raise ZeroTarget("target must be a nonzero field element")
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if self.log is None:
+            return [a for a in range(1, self.q) if self.pow_index(a, n) == target]
+        ell, c = self.log[target], gcd(n, self.q - 1)
+        if ell % c:
+            return []
+        u = (self.q - 1) // c
+        return sorted(self.exp[ell // c * pow(n // c, -1, u) % u :: u])
 
     # -- element constructors ------------------------------------------------
 
@@ -486,16 +506,9 @@ def GF(q: int, modulus=None, seed: int = 0) -> FieldSpec:
 def nth_power_witness(
     field: FieldSpec, target: FieldElem, n: int
 ) -> Optional[FieldElem]:
-    """Some unit a with a^n = target, by exhaustive scan, or None."""
-    if target.is_zero():
-        raise ZeroTarget("target must be a nonzero field element")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for i in range(1, field.q):
-        a = field.from_index(i)
-        if a**n == target:
-            return a
-    return None
+    """The unit a of least index with a^n = target, or None."""
+    roots = field.nth_roots(n, field.element(target).index)
+    return field.from_index(roots[0]) if roots else None
 
 
 def norm_image_classes(field: FieldSpec, n: int) -> tuple[int, list[FieldElem]]:

@@ -5,13 +5,16 @@ Coefficients are stored little-endian as a tuple of integer field
 indices, trimmed so the leading one is nonzero; FieldElem appears only
 at the boundary.  Each operation binds the field's operation tables once
 and loops over indices.  Factorization runs distinct-degree
-factorization followed by Cantor-Zassenhaus equal-degree splitting with
-a seeded RNG, by the absolute trace in every characteristic, raised to
-the p-th power by rows x^(p i) mod f; the factor list is sorted by
-(degree, coefficient indices) so every downstream enumeration order is
-reproducible.  `primitive_idempotents` takes that list from its caller,
-so one factorization serves both; the cofactors h_i = (x^n - lam)/f_i
-come from their recurrence, and CRT inverses from the derivative:
+factorization; on fields with a log table (q <= 256) the linear part
+splits into x - a for the n-th roots a of lam, read from that table, and
+every other part by Cantor-Zassenhaus equal-degree splitting with a
+seeded RNG, by the absolute trace in every characteristic, raised to
+the p-th power by rows x^(p i) mod f.  The factor list is sorted by
+(degree, coefficient indices), so it is unique whatever the seed and
+every downstream enumeration order is reproducible.
+`primitive_idempotents` takes that list from its caller, so one
+factorization serves both; the cofactors h_i = (x^n - lam)/f_i come
+from their recurrence, and CRT inverses from the derivative:
 h_i^(-1) = x f_i' (n lam)^(-1) mod f_i.
 """
 
@@ -332,8 +335,12 @@ def factor_xn_minus_lambda(
     """The distinct monic irreducible factors of x^n - lam, sorted by
     (degree, coefficient order).
 
-    Requires gcd(n, p) = 1 so the polynomial is squarefree; the CZ
-    splitting RNG is seeded deterministically from (seed, field, n, lam).
+    Requires gcd(n, p) = 1 so the polynomial is squarefree.  On fields
+    with tables (q <= 256) the linear factors are x - a for the roots a
+    that `FieldSpec.nth_roots` reads from the log table, and the CZ
+    splitting RNG, seeded deterministically from (seed, field, n, lam),
+    acts only on the parts of degree >= 2; above q = 256 it splits every
+    part.  The sorted list is the same whatever the seed.
     """
     if lam.is_zero():
         raise ZeroLambda("lambda must be a nonzero field element")
@@ -349,7 +356,13 @@ def factor_xn_minus_lambda(
     )
     factors: list[Poly] = []
     for part, d in _ddf(f):
-        factors.extend(_edf(part, d, rng))
+        if d == 1 and field.log is not None:
+            roots = field.nth_roots(n, lam.index)
+            # distinct roots, each a root of part: as many as deg part means the same set
+            assert len(roots) == part.degree, "the linear part is the product of x - a, a^n = lam"
+            factors.extend(Poly.from_indices(field, (field._neg[a], 1)) for a in roots)
+        else:
+            factors.extend(_edf(part, d, rng))
     factors.sort(key=Poly.key)
     return factors
 

@@ -4,10 +4,12 @@ from math import gcd
 import pytest
 
 from twistcodes.errors import ConstantPolynomial, NotSquarefree, ZeroLambda
-from twistcodes.gf import GF, FieldSpec
+from twistcodes.gf import GF, FieldSpec, prime_factors
 from twistcodes.poly import (
     Poly,
     _cofactor,
+    _ddf,
+    _edf,
     factor_xn_minus_lambda,
     is_irreducible,
     primitive_idempotents,
@@ -190,6 +192,66 @@ def test_factor_degrees_are_root_orbits(q, n, lam):
 
 def test_n_one_factor():
     assert factor_xn_minus_lambda(F5, 1, F5.element(4)) == [Poly(F5, [1, 1])]
+
+
+# Every table field: each prime power q <= 256, plus moduli under which x
+# does not generate F_q^*: x^2 + 1 over GF(3) and the AES x^8 + x^4 + x^3 + x + 1.
+ROOT_FIELDS = [GF(q) for q in range(2, 257) if len(prime_factors(q)) == 1] + [
+    FieldSpec(3, 2, (1, 0, 1)),
+    FieldSpec(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+]
+
+
+def _root_ns(F):
+    """Every n | q - 1 (n = 1 among them), and the first three n coprime to p
+    that do not divide q - 1."""
+    ns = [n for n in range(1, F.q) if (F.q - 1) % n == 0]
+    return ns + [n for n in range(2, 2 * F.q) if n % F.p and (F.q - 1) % n][:3]
+
+
+@pytest.mark.parametrize("F", ROOT_FIELDS, ids=repr)
+def test_nth_roots_match_power_scan(F):
+    for n in _root_ns(F):
+        by_power = {}
+        for a in range(1, F.q):
+            by_power.setdefault(F.pow_index(a, n), []).append(a)
+        for t in range(1, F.q):
+            assert F.nth_roots(n, t) == by_power.get(t, []), (n, t)
+
+
+def test_nth_roots_scan_above_table_limit():
+    """Above 256 the units are scanned: with c = gcd(n, q - 1), t has c n-th
+    roots when t^((q - 1)/c) = 1 and none otherwise."""
+    cases = ((GF(257), 16, 3), (GF(257), 16, 16), (GF(257), 5, 7), (GF(729), 8, 1), (GF(729), 8, 2))
+    for F, n, t in cases:
+        assert F.log is None
+        c = gcd(n, F.q - 1)
+        roots = F.nth_roots(n, t)
+        assert roots == sorted(set(roots)) and all(F.pow_index(a, n) == t for a in roots)
+        assert len(roots) == (c if F.pow_index(t, (F.q - 1) // c) == 1 else 0), (F, n, t)
+
+
+@pytest.mark.parametrize("F", ROOT_FIELDS, ids=repr)
+def test_linear_factors_from_roots_match_splitting(F):
+    """The linear factors read from the log table are those Cantor-Zassenhaus
+    splits off the degree-1 part; no linear part exists without an n-th root.
+    Splitting a linear part of degree n costs about n^2, so n stops at 40
+    except for n = q - 1 at q = 49, 64, 128 and 256, the all-linear contexts
+    of the factor benchmark; test_nth_roots_match_power_scan takes every n."""
+    rng = random.Random(F.q)
+    units = list(range(1, F.q))
+    lams = units if F.q <= 32 else [1, F.exp[1], rng.choice(units)]
+    for n in _root_ns(F):
+        if n > 40 and not (n == F.q - 1 and F.q in (49, 64, 128, 256)):
+            continue
+        for li in lams:
+            lam = F.from_index(li)
+            linear = [part for part, d in _ddf(Poly.xn_minus(F, n, lam)) if d == 1]
+            if not F.nth_roots(n, li):
+                assert linear == [], (n, li)  # so the root route is never taken
+                continue
+            got = [f for f in factor_xn_minus_lambda(F, n, lam) if f.degree == 1]
+            assert got == sorted(_edf(linear[0], 1, rng), key=Poly.key), (n, li)
 
 
 def test_primitive_idempotents_irreducible_case():
