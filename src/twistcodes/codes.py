@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,7 +25,6 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     Error,
-    ExponentOutOfRange,
     FieldMismatch,
     InvolutionUndefined,
     LengthMismatch,
@@ -48,7 +46,7 @@ _BLOCK = 1 << 15
 
 
 def _tables(field: FieldSpec):
-    if field.np_add is None:
+    if not field.has_tables:
         raise Error(f"code arithmetic needs operation tables; GF({field.q}) is too large")
     return field.np_add, field.np_mul, field.np_neg, field.np_inv
 
@@ -88,6 +86,11 @@ def _rref(field: FieldSpec, M: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]
         pivots.append(c)
         r += 1
     return M[:r].copy(), tuple(pivots)
+
+
+def _rank(field: FieldSpec, *blocks: np.ndarray) -> int:
+    """The rank of the rows of the blocks stacked."""
+    return len(_rref(field, np.vstack(blocks))[1])
 
 
 class LinearCode:
@@ -139,7 +142,7 @@ class LinearCode:
     def contains(self, v: Sequence[FieldElem]) -> bool:
         if len(v) != self.n:
             raise LengthMismatch(f"vector of length {len(v)}, expected {self.n}")
-        return len(_rref(self.field, np.vstack([self.gen, _vec_idx(self.field, v)]))[1]) == self.k
+        return _rank(self.field, self.gen, _vec_idx(self.field, v)) == self.k
 
     def __eq__(self, other):
         return (
@@ -201,7 +204,7 @@ def is_lambda_constacyclic(C: LinearCode, lam: FieldElem) -> bool:
         raise ZeroLambda("shift constant must be a unit")
     shifted = np.roll(C.gen, 1, axis=1)
     shifted[:, 0] = _tables(C.field)[1][C.field.element(lam).index][shifted[:, 0]]
-    return len(_rref(C.field, np.vstack([C.gen, shifted]))[1]) == C.k
+    return _rank(C.field, C.gen, shifted) == C.k
 
 
 def ideal_from_element(a: AlgElem) -> LinearCode:
@@ -240,7 +243,7 @@ def idempotent_generator(C: LinearCode, ctx: AlgebraCtx) -> AlgElem:
     """The unique idempotent e with <e> = C, via the CRT section of the
     generator polynomial: with g h = x^n - lam and u g + v h = 1, the
     element e = u g mod (x^n - lam)."""
-    if gcd(ctx.n, ctx.field.p) != 1:
+    if not ctx.semisimple:
         raise NotSemisimple(
             f"idempotent generators need gcd(n, p) = 1; n = {ctx.n}, p = {ctx.field.p}"
         )
@@ -265,8 +268,7 @@ def dual(C: LinearCode, k: int = 0) -> LinearCode:
     the Euclidean dual.
     """
     field = C.field
-    if not 0 <= k < field.m:
-        raise ExponentOutOfRange(f"Galois parameter k = {k} outside 0..{field.m - 1}")
+    field.check_galois(k)
     ADD, MUL, NEG, _ = _tables(field)
     n = C.n
     piv_set = set(C.pivots)
@@ -278,10 +280,8 @@ def dual(C: LinearCode, k: int = 0) -> LinearCode:
         N[row, j] = 1
         for i, pc in enumerate(C.pivots):
             N[row, pc] = NEG[C.gen[i, j]]
-    if k:
-        t = (field.m - k) % field.m
-        for _ in range(t):
-            N = field.np_frob[N]
+    for _ in range(field.m - k if k else 0):  # the p^(m-k) power, none for k = 0
+        N = field.np_frob[N]
     R, piv = _rref(field, N)
     return LinearCode(field, n, R, piv)
 
@@ -292,9 +292,7 @@ def intersection_dim(C: LinearCode, D: LinearCode) -> int:
         raise FieldMismatch("codes live in different ambient spaces")
     if C.k == 0 or D.k == 0:
         return 0
-    stacked = np.vstack([C.gen, D.gen])
-    rank = _rref(C.field, stacked)[0].shape[0]
-    return C.k + D.k - rank
+    return C.k + D.k - _rank(C.field, C.gen, D.gen)
 
 
 def is_lcd(C: LinearCode, k: int = 0) -> bool:
@@ -312,10 +310,9 @@ def check_idempotent_lcd(e: AlgElem, k: int = 0) -> bool:
     ctx = e.ctx
     if elem_mul(e, e) != e:
         raise NotIdempotent("element is not idempotent")
-    if ctx.lam * ctx.lam != ctx.field.one:
+    if not ctx.has_involution:
         raise InvolutionUndefined("idempotent LCD criterion needs lam^2 = 1")
-    if not 0 <= k < ctx.field.m:
-        raise ExponentOutOfRange(f"Galois parameter k = {k} outside 0..{ctx.field.m - 1}")
+    ctx.field.check_galois(k)
     if k == 0:
         return involution_star(e) == e
     return e == elem_mul(e, involution_star(frobenius_twist(e, k)))

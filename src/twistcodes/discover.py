@@ -35,7 +35,6 @@ from .codes import (
 from .errors import (
     BudgetExceeded,
     Error,
-    ExponentOutOfRange,
     TableMissing,
     TableParseError,
     TooManyFactors,
@@ -200,28 +199,23 @@ def _lattice(ctx: AlgebraCtx, seed: int) -> tuple[list[Poly], list[Poly]]:
 def factor_orbits(ctx: AlgebraCtx, factors: Sequence[Poly], k: int) -> Optional[list[int]]:
     """The orbits of pi = Frob^(m-k) o reciprocal on the canonical factor
     list of x^n - lam, as bitmasks ordered by their highest bit; None when
+    the k-Galois dual constant lam^(-p^(m-k)) is not lam, that is when
     lam^(1 + p^(m-k)) != 1.
 
     pi reverses a factor's coefficients, raises each to the power
-    p^(m-k) and makes the result monic.  When lam^(1 + p^(m-k)) = 1 the
+    p^(m-k) and makes the result monic.  When the dual constant is lam the
     k-Galois dual of an ideal is again an ideal of the algebra, and the
     ideal with mask S is k-Galois LCD exactly when S is a union of orbits
     (Yang-Massey 1994; Liu-Fan-Liu, FFA 2018).  Otherwise the dual is
     constacyclic for another constant and every ideal is k-Galois LCD.
     """
-    F = ctx.field
-    if not 0 <= k < F.m:
-        raise ExponentOutOfRange(f"Galois parameter k = {k} outside 0..{F.m - 1}")
-    t = (F.m - k) % F.m
-    if ctx.lam ** (1 + F.p**t) != F.one:
+    if ctx.dual_constant(k) != ctx.lam:
         return None
+    F = ctx.field
     position = {f.indices: i for i, f in enumerate(factors)}
     perm = []
     for f in factors:
-        g = f.indices[::-1]
-        for _ in range(t):
-            g = [F.frob_index(c) for c in g]
-        image = Poly.from_indices(F, g).monic()
+        image = Poly.from_indices(F, F.frobenius(f.indices[::-1], F.m - k)).monic()
         if image.indices not in position:
             raise Error(
                 f"pi maps the factor {f} to {image}, which is not a factor of "
@@ -320,7 +314,6 @@ def search_lcd(
     factors, prims = _lattice(ctx, seed)
     orbits = factor_orbits(ctx, factors, k)
     euclid = orbits if k == 0 else factor_orbits(ctx, factors, 0)
-    lam2_trivial = ctx.lam * ctx.lam == ctx.field.one
     degrees = [f.degree for f in factors]
     records = []
     for mask in range(1 << len(factors)) if orbits is None else _unions(orbits):
@@ -330,7 +323,7 @@ def search_lcd(
         e = _mask_element(ctx, prims, mask)
         flags = {0: euclid is None or _is_union(mask, euclid), k: True}
         C = None
-        if lam2_trivial:
+        if ctx.has_involution:
             for j, flag in flags.items():
                 _agree(ctx, mask, j, flag, check_idempotent_lcd(e, j),
                        "idempotent LCD criterion disagrees with the factor orbits")

@@ -16,11 +16,13 @@ for the matrix and distance kernels in :mod:`twistcodes.codes`,
 python-list copies, a digit table and each index's JSON text for scalar
 work and output), and the exp/log lists themselves, from which
 `nth_roots` reads the n-th roots of a unit in O(gcd(n, q - 1)) steps.
-Above 256 every operation is computed per call (addition and negation
-digitwise, products by the same multiplication on a single pair,
-inverse by extended Euclid over GF(p), Frobenius as a power), the list
-tables become stand-ins that compute an entry when it is read, and
-`nth_roots` scans the units.
+The `*_index` methods compute one entry per call at every size (addition
+and negation digitwise, products by the same multiplication on a single
+pair, inverse by extended Euclid over GF(p), Frobenius as a power);
+above 256 the list tables are stand-ins that call them when read, and
+`nth_roots` scans the units.  The field decides table or compute once,
+when it is built (`has_tables`), and owns the Frobenius powers of index
+sequences and the check of the Galois parameter 0 <= k < m.
 Prime fields work with integers mod p throughout.  The modulus search
 and validation use :mod:`twistcodes.poly` over GF(p); each seeded
 search runs once per process.
@@ -40,6 +42,7 @@ import numpy as np
 
 from .errors import (
     DegreeMismatch,
+    ExponentOutOfRange,
     FieldMismatch,
     NonPrime,
     ReducibleModulus,
@@ -147,7 +150,7 @@ class FieldElem:
     def __add__(self, other):
         if not self._check(other):
             return NotImplemented
-        return self.field.from_index(self.field.add_index(self.index, other.index))
+        return self.field.from_index(self.field._add[self.index][other.index])
 
     def __sub__(self, other):
         if not self._check(other):
@@ -155,12 +158,12 @@ class FieldElem:
         return self + (-other)
 
     def __neg__(self):
-        return self.field.from_index(self.field.neg_index(self.index))
+        return self.field.from_index(self.field._neg[self.index])
 
     def __mul__(self, other):
         if not self._check(other):
             return NotImplemented
-        return self.field.from_index(self.field.mul_index(self.index, other.index))
+        return self.field.from_index(self.field._mul[self.index][other.index])
 
     def __truediv__(self, other):
         if not self._check(other):
@@ -170,7 +173,7 @@ class FieldElem:
     def inverse(self) -> "FieldElem":
         if self.index == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return self.field.from_index(self.field.inv_index(self.index))
+        return self.field.from_index(self.field._inv[self.index])
 
     def __pow__(self, e: int) -> "FieldElem":
         if e < 0:
@@ -179,11 +182,7 @@ class FieldElem:
 
     def frobenius(self, k: int = 1) -> "FieldElem":
         """x -> x^(p^k); k is reduced mod m."""
-        k %= self.field.m
-        idx = self.index
-        for _ in range(k):
-            idx = self.field.frob_index(idx)
-        return self.field.from_index(idx)
+        return self.field.from_index(self.field.frobenius((self.index,), k)[0])
 
     def is_zero(self) -> bool:
         return self.index == 0
@@ -236,7 +235,6 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.q = p**m
-        self.seed = seed
         if modulus is None:
             if m == 1:
                 self.modulus = (0, 1)  # implicit: elements are residues mod p
@@ -255,7 +253,9 @@ class FieldSpec:
         self._reduction = self._reduction_rows() if m > 1 else None
         self.np_add = self.np_mul = self.np_neg = self.np_inv = self.np_frob = None
         self.exp = self.log = None  # exp[k] = g^k and log[g^k] = k, q <= 256 only
-        if self.q <= TABLE_LIMIT:
+        # the one table-or-compute decision; other modules ask has_tables
+        self.has_tables = self.q <= TABLE_LIMIT
+        if self.has_tables:
             self._build_tables()
         else:
             # the tables' lookups, each computed when read, so that the
@@ -300,24 +300,21 @@ class FieldSpec:
             idx = idx * self.p + (c % self.p)
         return idx
 
+    # Each *_index method computes its entry per call; on fields with tables
+    # the tables hold the same values, and every hot path reads those.
+
     def add_index(self, i: int, j: int) -> int:
-        if self.q <= TABLE_LIMIT:
-            return self._add[i][j]
         if self.m == 1:
             return (i + j) % self.p
         a, b = self._coeffs_of(i), self._coeffs_of(j)
         return self._index_of([(x + y) % self.p for x, y in zip(a, b)])
 
     def neg_index(self, i: int) -> int:
-        if self.q <= TABLE_LIMIT:
-            return self._neg[i]
         if self.m == 1:
             return (-i) % self.p
         return self._index_of([(-c) % self.p for c in self._coeffs_of(i)])
 
     def mul_index(self, i: int, j: int) -> int:
-        if self.q <= TABLE_LIMIT:
-            return self._mul[i][j]
         if self.m == 1:
             return (i * j) % self.p
         if i <= 1 or j <= 1:  # indices 0 and 1 are zero and one
@@ -335,8 +332,6 @@ class FieldSpec:
     def inv_index(self, i: int) -> int:
         if i == 0:
             raise ZeroDivisionError("zero has no inverse")
-        if self.q <= TABLE_LIMIT:
-            return self._inv[i]
         if self.m == 1:
             return self.pow_index(i, self.q - 2)
         # extended Euclid over GF(p): the cofactor of i against the modulus
@@ -348,9 +343,19 @@ class FieldSpec:
 
     def frob_index(self, i: int) -> int:
         """Index of x^p for the element of index i."""
-        if self.q <= TABLE_LIMIT:
-            return self._frob[i]
         return self.pow_index(i, self.p)  # i^p = i for m = 1
+
+    def frobenius(self, indices: Sequence[int], j: int) -> tuple[int, ...]:
+        """The indices of x^(p^j) for each index x; j is reduced mod m."""
+        FROB, out = self._frob, tuple(indices)
+        for _ in range(j % self.m):
+            out = tuple(FROB[x] for x in out)
+        return out
+
+    def check_galois(self, k: int):
+        """Raise ExponentOutOfRange unless 0 <= k < m, the Galois parameters."""
+        if not 0 <= k < self.m:
+            raise ExponentOutOfRange(f"Galois parameter k = {k} outside 0..{self.m - 1}")
 
     def _mul_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Products of base-p digit arrays a and b, which broadcast over
@@ -424,7 +429,7 @@ class FieldSpec:
             raise ZeroTarget("target must be a nonzero field element")
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self.log is None:
+        if not self.has_tables:
             return [a for a in range(1, self.q) if self.pow_index(a, n) == target]
         ell, c = self.log[target], gcd(n, self.q - 1)
         if ell % c:
@@ -527,6 +532,6 @@ def norm_image_classes(field: FieldSpec, n: int) -> tuple[int, list[FieldElem]]:
         if i in seen:
             continue
         reps.append(field.from_index(i))
-        seen.update(field.mul_index(i, im) for im in image)
+        seen.update(field._mul[i][im] for im in image)
     assert len(reps) == gcd(n, field.q - 1)
     return len(reps), reps

@@ -30,7 +30,7 @@ from .errors import (
     NotSquarefree,
     ZeroLambda,
 )
-from .gf import FieldElem, FieldSpec
+from .gf import FieldElem, FieldSpec, _power
 
 
 class Poly:
@@ -211,14 +211,7 @@ class Poly:
         """self^e reduced modulo mod; e >= 0 (supports big integers)."""
         if e < 0:
             raise ValueError("negative exponent")
-        result = Poly.one(self.field) % mod
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
+        return _power(self % mod, e, Poly.one(self.field) % mod, lambda a, b: (a * b) % mod)
 
     def __str__(self):
         return _terms(self.field, self.indices, "x")
@@ -356,7 +349,7 @@ def factor_xn_minus_lambda(
     )
     factors: list[Poly] = []
     for part, d in _ddf(f):
-        if d == 1 and field.log is not None:
+        if d == 1 and field.has_tables:
             roots = field.nth_roots(n, lam.index)
             # distinct roots, each a root of part: as many as deg part means the same set
             assert len(roots) == part.degree, "the linear part is the product of x - a, a^n = lam"

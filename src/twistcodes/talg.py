@@ -14,6 +14,7 @@ Contexts and elements are immutable; everything here is pure.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -31,7 +32,12 @@ MAX_N = 255
 
 
 class AlgebraCtx:
-    """F_q^{gamma_lam} C_n: the field, the group order, and the wrap unit."""
+    """F_q^{gamma_lam} C_n: the field, the group order, and the wrap unit.
+
+    It answers the questions the LCD criteria ask of the algebra: whether
+    it is semisimple (gcd(n, p) = 1), whether the classical involution
+    exists (lam^2 = 1), and which constant the k-Galois duals of its ideals
+    are constacyclic for."""
 
     def __init__(self, field: FieldSpec, n: int, lam: Union[FieldElem, int, Sequence[int]]):
         lam = field.element(lam)
@@ -42,6 +48,14 @@ class AlgebraCtx:
         self.field = field
         self.n = n
         self.lam = lam
+        self.semisimple = gcd(n, field.p) == 1
+        self.has_involution = lam * lam == field.one
+
+    def dual_constant(self, k: int) -> FieldElem:
+        """lam^(-p^(m-k)): the k-Galois dual of a lam-constacyclic code is
+        constacyclic for this constant; 0 <= k < m."""
+        self.field.check_galois(k)
+        return self.lam.frobenius(self.field.m - k).inverse()
 
     def gamma(self, i: int, j: int) -> FieldElem:
         """The wrap cocycle: lam when i+j >= n, else 1."""
@@ -198,12 +212,11 @@ def involution_star(a: AlgElem) -> AlgElem:
     the map would fail to be an involution.
     """
     ctx = a.ctx
-    lam = ctx.lam
-    if lam * lam != ctx.field.one:
+    if not ctx.has_involution:
         raise InvolutionUndefined(
-            f"classical involution needs lam^2 = 1; lam = {lam} over GF({ctx.field.q})"
+            f"classical involution needs lam^2 = 1; lam = {ctx.lam} over GF({ctx.field.q})"
         )
-    row = ctx.field._mul[lam.inverse().index]
+    row = ctx.field._mul[ctx.lam.inverse().index]
     x = a.indices
     # position n - i takes lam^(-1) c_i: the tail reversed and scaled
     return AlgElem(ctx, (x[0],) + tuple(row[c] for c in reversed(x[1:])))
@@ -211,12 +224,8 @@ def involution_star(a: AlgElem) -> AlgElem:
 
 def frobenius_twist(a: AlgElem, k: int) -> AlgElem:
     """Apply x -> x^(p^k) to every coefficient."""
-    if not 0 <= k < a.ctx.field.m:
-        raise ExponentOutOfRange(f"Galois parameter k = {k} outside 0..{a.ctx.field.m - 1}")
-    F, x = a.ctx.field, a.indices
-    for _ in range(k):
-        x = tuple(map(F.frob_index, x))
-    return AlgElem(a.ctx, x)
+    a.ctx.field.check_galois(k)
+    return AlgElem(a.ctx, a.ctx.field.frobenius(a.indices, k))
 
 
 def k_galois_form(a: AlgElem, b: AlgElem, k: int) -> FieldElem:
@@ -224,12 +233,12 @@ def k_galois_form(a: AlgElem, b: AlgElem, k: int) -> FieldElem:
     product."""
     if a.ctx != b.ctx:
         raise CtxMismatch("elements of different twisted group algebras")
-    if not 0 <= k < a.ctx.field.m:
-        raise ExponentOutOfRange(f"Galois parameter k = {k} outside 0..{a.ctx.field.m - 1}")
-    acc = a.ctx.field.zero
-    for x, y in zip(a.coeffs, b.coeffs):
-        acc = acc + x * y.frobenius(k)
-    return acc
+    F = a.ctx.field
+    F.check_galois(k)
+    ADD, MUL, acc = F._add, F._mul, 0
+    for x, y in zip(a.indices, F.frobenius(b.indices, k)):
+        acc = ADD[acc][MUL[x][y]]
+    return F.from_index(acc)
 
 
 def coeff_identity(a: AlgElem) -> FieldElem:

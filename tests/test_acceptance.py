@@ -246,6 +246,7 @@ def test_criterion_7_dual_constants(lattice):
         F, m, n = ctx.field, ctx.field.m, ctx.n
         for k in range(m):
             mu = ctx.lam.frobenius((m - k) % m).inverse()
+            assert ctx.dual_constant(k) == mu, (ctx, k)
             for mask, e, C, per_k in entries:
                 D, _ = per_k[k]
                 assert C.k + D.k == n, (ctx, mask, k)
@@ -282,8 +283,9 @@ def test_criterion_12_factor_orbits_decide_search(lattice):
                 assert (r.idempotent, r.k) == (e, C.k), (ctx, r.subset_mask, k)
             searched += len(recs)
             orbits = factor_orbits(ctx, factors, k)
+            # no orbits exactly when the dual is constacyclic for another constant
+            assert (orbits is None) == (ctx.lam ** (1 + F.p ** ((m - k) % m)) != F.one), (ctx, k)
             if orbits is None:
-                assert ctx.lam ** (1 + F.p ** ((m - k) % m)) != F.one
                 continue
             for mask, e, C, per_k in entries:
                 assert _is_union(mask, orbits) == per_k[k][1], (ctx, mask, k)

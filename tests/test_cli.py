@@ -407,6 +407,9 @@ def test_input_error_prints_nothing_to_stdout(capsys, argv, err, fmt):
 
 def test_lcd_check_not_semisimple(capsys):
     # 3 | 6: no idempotent generator, but the subspace criterion is defined
+    ctx = AlgebraCtx(GF(3), 6, 2)
+    assert not ctx.semisimple and ctx.has_involution  # 2^2 = 1 in GF(3)
+    assert AlgebraCtx(GF(3), 10, 2).semisimple
     rc, out = run(
         capsys,
         ["lcd-check", "-q", "3", "-n", "6", "--lam", "2", "--idempotent", "1,1", "--format", "json"],

@@ -9,6 +9,8 @@ from twistcodes import codes
 from twistcodes.errors import (
     BudgetExceeded,
     Error,
+    ExponentOutOfRange,
+    InvolutionUndefined,
     LengthMismatch,
     NotConstacyclic,
     NotIdempotent,
@@ -32,9 +34,9 @@ from twistcodes.codes import (
     phi,
     phi_inv,
 )
-from twistcodes.discover import iter_ideal_codes
-from twistcodes.poly import Poly
-from twistcodes.talg import AlgebraCtx
+from twistcodes.discover import factor_orbits, iter_ideal_codes
+from twistcodes.poly import Poly, factor_xn_minus_lambda
+from twistcodes.talg import AlgebraCtx, frobenius_twist, k_galois_form
 
 F3 = GF(3)
 F5 = GF(5)
@@ -267,12 +269,16 @@ def test_dual_double_galois():
 
 
 def test_dual_constacyclic_constant():
-    for ctx, ks in ((CTX1, (0,)), (AlgebraCtx(F9, 8, 2), (0, 1)), (AlgebraCtx(F5, 21, 4), (0,))):
+    # over GF(8), m - k differs from k for k = 1, 2; lam = x has a root, so nontrivial ideals
+    F8 = GF(8)
+    for ctx, ks in ((CTX1, (0,)), (AlgebraCtx(F9, 8, 2), (0, 1)), (AlgebraCtx(F5, 21, 4), (0,)),
+                    (AlgebraCtx(F8, 3, [0, 1]), (0, 1, 2)), (AlgebraCtx(F8, 5, [0, 1]), (0, 1, 2))):
         F, m = ctx.field, ctx.field.m
         for mask, e, C in iter_ideal_codes(ctx):
             for k in ks:
                 mu = ctx.lam.frobenius((m - k) % m).inverse()
                 D = dual(C, k)
+                assert ctx.dual_constant(k) == mu
                 assert C.k + D.k == ctx.n
                 assert is_lambda_constacyclic(D, mu)
 
@@ -301,6 +307,33 @@ def test_check_idempotent_lcd():
     assert check_idempotent_lcd(e4, 0)
     with pytest.raises(NotIdempotent):
         check_idempotent_lcd(CTX1.basis(1), 0)
+
+
+CTX9 = AlgebraCtx(F9, 8, 2)  # lam = -1, so lam^2 = 1
+GALOIS_USERS = {
+    "dual": lambda k: dual(ideal_from_element(CTX9.one), k),
+    "frobenius_twist": lambda k: frobenius_twist(CTX9.one, k),
+    "k_galois_form": lambda k: k_galois_form(CTX9.one, CTX9.one, k),
+    "check_idempotent_lcd": lambda k: check_idempotent_lcd(CTX9.one, k),
+    "factor_orbits": lambda k: factor_orbits(CTX9, factor_xn_minus_lambda(F9, 8, CTX9.lam), k),
+    "dual_constant": lambda k: CTX9.dual_constant(k),
+}
+
+
+@pytest.mark.parametrize("k", (2, -1))
+@pytest.mark.parametrize("name", sorted(GALOIS_USERS))
+def test_galois_parameter_message(name, k):
+    # GF(9) admits k = 0 and k = 1 only, and every entry says so in the same words
+    with pytest.raises(ExponentOutOfRange) as info:
+        GALOIS_USERS[name](k)
+    assert str(info.value) == f"Galois parameter k = {k} outside 0..1"
+
+
+def test_idempotent_lcd_involution_before_galois_parameter():
+    ctx = AlgebraCtx(F9, 8, [0, 1])  # lam = x, with x^2 = -1 != 1
+    assert not ctx.has_involution
+    with pytest.raises(InvolutionUndefined):
+        check_idempotent_lcd(ctx.one, 2)
 
 
 def test_lcd_criteria_agree_small_ctxs():

@@ -3,6 +3,7 @@ arithmetic from :mod:`twistcodes.poly`, modulo the field's modulus."""
 
 import functools
 import json
+import random
 
 import pytest
 
@@ -57,13 +58,27 @@ def test_index_arithmetic_matches_poly_reference(q, seed, data):
         assert d.is_one()
         inv = index(u % M)
         assert F.inv_index(i) == inv
-    if F.np_mul is not None:
+    if F.has_tables:
         # against the reference values: the list tables are copies of these arrays
         assert F.np_add[i, j] == add
         assert F.np_mul[i, j] == mul
         assert F.np_neg[i] == neg
         assert F.np_frob[i] == frob
         assert F.np_inv[i] == inv
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+def test_frobenius_matches_iterated_frob_index(q):
+    """FieldSpec.frobenius(indices, j) against frob_index applied j mod m times,
+    for j from -m to 2m; every index with tables, a seeded sample above."""
+    F = GF(q)
+    idx = tuple(range(q)) if q <= 256 else (0, 1, *random.Random(q).sample(range(2, q), 40))
+    iterates = [idx]  # iterates[t] is x^(p^t) for every x in idx
+    for _ in range(F.m):
+        iterates.append(tuple(map(F.frob_index, iterates[-1])))
+    assert iterates[F.m] == idx  # x^(p^m) = x
+    for j in range(-F.m, 2 * F.m + 1):
+        assert F.frobenius(idx, j) == iterates[j % F.m], j
 
 
 # Moduli under which x does not generate F_q^*, so the discrete-log tables

@@ -196,6 +196,7 @@ def test_involution_laws():
         assert involution_star(cyc.basis(i)) == cyc.basis(10 - i)
     rng = random.Random(2)
     for ctx in (CTX1, cyc, AlgebraCtx(F5, 9, 4), AlgebraCtx(F9, 8, 2)):
+        assert ctx.has_involution and ctx.semisimple  # lam = +-1, p does not divide n
         for _ in range(100):
             a, b = rand_elem(ctx, rng), rand_elem(ctx, rng)
             assert involution_star(involution_star(a)) == a
@@ -205,6 +206,7 @@ def test_involution_laws():
 
 def test_involution_undefined():
     ctx = AlgebraCtx(F5, 6, 2)  # 2^2 = 4 != 1 in GF(5)
+    assert not ctx.has_involution and ctx.semisimple
     with pytest.raises(InvolutionUndefined):
         involution_star(ctx.one)
 
