@@ -10,8 +10,12 @@ Minimum distance enumerates all q^k codewords when that is small enough,
 and otherwise the messages of one information set in increasing weight,
 certifying d once the weight bound passes the best codeword found.  Both
 share one compare kernel: each message is a prefix codeword p plus an
-entry t of a small table, and the weight of p + t is the number of
-positions where t != -p, so the inner loop reads no field table.
+entry t of a small table, and the weight of p + t is a start weight plus
+the number of positions where t != -p, so the inner loop reads no field
+table.  The exhaustive method compares all n positions from 0.  In the
+information-set method the pivot entries of a codeword are its message,
+so the weight is the message weight plus the mismatches on the n - k
+redundancy columns, the only columns compared.
 """
 
 from __future__ import annotations
@@ -395,7 +399,7 @@ def _span(field: FieldSpec, rows: np.ndarray, digits: np.ndarray) -> np.ndarray:
     ADD, MUL, _, _ = _tables(field)
     out = np.zeros((1, rows.shape[1]), dtype=np.uint8)
     for g in rows:
-        out = ADD[MUL[digits][:, g][:, None], out[None]].reshape(-1, rows.shape[1])
+        out = ADD[MUL[digits][:, g][:, None], out[None]].reshape(len(digits) * len(out), -1)
     return out
 
 
@@ -408,33 +412,32 @@ def _codewords(field: FieldSpec, rows: np.ndarray, digits: np.ndarray, start: in
         return low[start:stop]
     t = len(low)
     high = _codewords(field, rows[b:], digits, start // t, -(-stop // t))
-    both = field.np_add[high[:, None], low[None]].reshape(-1, rows.shape[1])
+    both = field.np_add[high[:, None], low[None]].reshape(len(high) * t, -1)
     return both[start % t : start % t + stop - start]
 
 
-def _scan(field: FieldSpec, P: np.ndarray, T: np.ndarray, m: int, best):
-    """The compare kernel: the weight of P[i] + t is the number of positions
-    where t != -P[i], so no field table is read per codeword.
+def _scan(field: FieldSpec, P: np.ndarray, T: np.ndarray, m: int, start: int):
+    """The compare kernel: the weight of P[i] + t is start plus the number
+    of positions where t != -P[i], so no field table is read per codeword.
 
-    T holds one codeword per column, in groups of m columns.  Weights are
-    visited by group, then by row of P, then within the group; best is the
-    (weight, codeword) of the first minimum so far and gives way only to a
-    lighter codeword, so the first minimum in visiting order wins.
+    T holds one codeword per column, in groups of m columns, on the columns
+    of P.  Weights are visited by group, then by row of P, then within the
+    group; returns (weight, r, c) of the first minimum in visiting order,
+    the codeword P[r] + T[:, c].
     """
     NP, flip = field.np_neg[P].T, len(P) > T.shape[1]  # the longer side runs innermost
     A, B = (T[:, :, None], NP[:, None]) if flip else (NP[:, :, None], T[:, None])
-    W = (A[0] != B[0]).astype(np.uint8 if len(T) < 256 else np.uint16)
-    for c in range(1, len(T)):
+    dims = (T.shape[1], len(P)) if flip else (len(P), T.shape[1])
+    W = np.full(dims, start, dtype=np.uint8 if start + len(T) < 256 else np.uint16)
+    for c in range(len(T)):
         W += A[c] != B[c]
     shape, axes = ((-1, m, len(P)), (0, 2, 1)) if flip else ((len(P), -1, m), (1, 0, 2))
     W = W.reshape(shape).transpose(axes).ravel()
     i = int(W.argmin())
     if W[i] == 0:  # the zero codeword: message 0, the first one visited
         i = 1 + int(W[1:].argmin())
-    if best is None or W[i] < best[0]:
-        g, r = divmod(i, len(P) * m)
-        best = int(W[i]), field.np_add[P[r // m], T[:, g * m + r % m]]
-    return best
+    g, r = divmod(i, len(P) * m)
+    return int(W[i]), r // m, g * m + r % m
 
 
 def _min_distance_exhaustive(C: LinearCode, budget: int) -> DistanceCertificate:
@@ -448,20 +451,27 @@ def _min_distance_exhaustive(C: LinearCode, budget: int) -> DistanceCertificate:
     t = T.shape[1]
     full, rem = divmod(stop, t)
     best, pb = None, max(1, _BLOCK // t)
-    for s0 in range(0, full, _BLOCK):
-        P = _codewords(field, G[b:], digits, s0, min(s0 + _BLOCK, full))
+    # prefixes 0..full-1 meet all of T, prefix full its first rem entries
+    spans = [(s0, min(s0 + _BLOCK, full), T) for s0 in range(0, full, _BLOCK)]
+    spans += [(full, full + 1, T[:, :rem])] if rem else []
+    for s0, s1, U in spans:
+        P = _codewords(field, G[b:], digits, s0, s1)
         for i in range(0, len(P), pb):
-            best = _scan(field, P[i : i + pb], T, t, best)
-    if rem:
-        best = _scan(field, _codewords(field, G[b:], digits, full, full + 1), T[:, :rem], rem, best)
+            w, r, c = _scan(field, P[i : i + pb], U, U.shape[1], 0)
+            if best is None or w < best[0]:
+                best = w, field.np_add[P[i + r], U[:, c]]
     if stop < total:
         raise BudgetExceeded(best[0] if best else None, 1, stop)
     return DistanceCertificate(best[0], _vec_elems(field, best[1]), "exhaustive", stop)
 
 
 def _min_distance_infoset(C: LinearCode, budget: int) -> DistanceCertificate:
+    """A message of weight w has exactly w nonzero pivot entries, so only the
+    n - k redundancy columns are compared and every weight starts at w."""
     field, G, k = C.field, C.gen, C.k
+    ADD, MUL, _, _ = _tables(field)
     m, nz = field.q - 1, np.arange(1, field.q)
+    R = G[:, [c for c in range(C.n) if c not in C.pivots]]
     best, work, completed = None, 0, 0
     for w in range(1, k + 1):
         n_vals, n_head = m**w, m ** (w - 1)
@@ -470,14 +480,18 @@ def _min_distance_infoset(C: LinearCode, budget: int) -> DistanceCertificate:
         # supports that share their first w - 1 rows (the head) are consecutive;
         # meshgrid order over the head is little-endian over the reversed head
         for head in combinations(range(k), w - 1):
+            rows = list(head[::-1])
             first = head[-1] + 1 if head else 0
             fit = min(k - first, max(0, (budget - work) // n_vals))
             # every nonzero multiple of every admissible last row, by row then multiple
-            T = field.np_mul[nz][:, G[first : first + fit]].transpose(2, 1, 0).reshape(C.n, -1)
+            T = MUL[nz][:, R[first : first + fit]].transpose(2, 1, 0).reshape(R.shape[1], fit * m)
             for l0 in range(0, fit, step):
                 for p0 in range(0, n_head, pb):
-                    P = _codewords(field, G[list(head[::-1])], nz, p0, min(p0 + pb, n_head))
-                    best = _scan(field, P, T[:, l0 * m : (l0 + step) * m], m, best)
+                    P = _codewords(field, R[rows], nz, p0, min(p0 + pb, n_head))
+                    d, r, c = _scan(field, P, T[:, l0 * m : (l0 + step) * m], m, w)
+                    if best is None or d < best[0]:
+                        head_word = _codewords(field, G[rows], nz, p0 + r, p0 + r + 1)[0]
+                        best = d, ADD[head_word, MUL[nz[c % m], G[first + l0 + c // m]]]
             work += fit * n_vals
             if fit < k - first:
                 raise BudgetExceeded(best[0] if best else None, completed + 1, work)

@@ -425,17 +425,21 @@ class FieldSpec:
         target and n >= 1.  With a log table, a = g^L solves n L = log target
         mod q - 1: none unless c = gcd(n, q - 1) divides log target, else the
         c exponents L0 + j (q - 1)/c.  Above 256 the units are scanned."""
+        return list(self._iter_nth_roots(n, target))
+
+    def _iter_nth_roots(self, n: int, target: int):
+        """nth_roots as an iterator, so a scan above 256 can stop early."""
         if target == 0:
             raise ZeroTarget("target must be a nonzero field element")
         if n < 1:
             raise ValueError("n must be >= 1")
         if not self.has_tables:
-            return [a for a in range(1, self.q) if self.pow_index(a, n) == target]
+            return (a for a in range(1, self.q) if self.pow_index(a, n) == target)
         ell, c = self.log[target], gcd(n, self.q - 1)
         if ell % c:
-            return []
+            return iter(())
         u = (self.q - 1) // c
-        return sorted(self.exp[ell // c * pow(n // c, -1, u) % u :: u])
+        return iter(sorted(self.exp[ell // c * pow(n // c, -1, u) % u :: u]))
 
     # -- element constructors ------------------------------------------------
 
@@ -511,9 +515,10 @@ def GF(q: int, modulus=None, seed: int = 0) -> FieldSpec:
 def nth_power_witness(
     field: FieldSpec, target: FieldElem, n: int
 ) -> Optional[FieldElem]:
-    """The unit a of least index with a^n = target, or None."""
-    roots = field.nth_roots(n, field.element(target).index)
-    return field.from_index(roots[0]) if roots else None
+    """The unit a of least index with a^n = target, or None; above 256 the
+    scan of the units stops at it."""
+    root = next(field._iter_nth_roots(n, field.element(target).index), None)
+    return None if root is None else field.from_index(root)
 
 
 def norm_image_classes(field: FieldSpec, n: int) -> tuple[int, list[FieldElem]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -154,6 +155,24 @@ def test_distance_budget_exceeded(capsys):
     )
     assert rc == 1
     assert "budget exceeded" in out
+
+
+DISTANCE_Q5_N21_SHA256 = "1a2c38fdba7b4a63279b40889c47b9537b1b65088477e2d75cf4d59cc41a5f54"
+
+
+def test_distance_witnesses_frozen_at_length_21(capsys):
+    """Every nonzero proper ideal of x^21 - 4 over GF(5) (masks 1..31): 15
+    exhaustive and 16 info-set certificates, each with its witness, pinned
+    byte for byte by the digest of the 31 outputs concatenated."""
+    outs = []
+    for mask in range(1, 32):
+        argv = ["distance", "-q", "5", "-n", "21", "--lam", "4", "--mask", str(mask)]
+        rc, out = run(capsys, argv + ["--format", "json", "--seed", "0"])
+        assert rc == 0, mask
+        outs.append(out)
+    methods = [json_lines(out)[-1]["method"] for out in outs]
+    assert (methods.count("exhaustive"), methods.count("info-set")) == (15, 16)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == DISTANCE_Q5_N21_SHA256
 
 
 def test_lcd_check(capsys):

@@ -93,7 +93,9 @@ def codes_and_budgets(draw):
     q = draw(st.sampled_from(QS), label="q")
     F = GF(q)
     rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
-    source = draw(st.sampled_from(("random", "planted", "constacyclic")), label="source")
+    source = draw(
+        st.sampled_from(("random", "planted", "constacyclic", "full-width")), label="source"
+    )
     if source == "constacyclic":
         # ideals have many minimum-weight codewords, spread over many supports
         n = rng.choice([n for n in range(2, MAX_N + 1) if n % F.p])
@@ -104,15 +106,20 @@ def codes_and_budgets(draw):
         k_max = max(k for k in range(1, MAX_N + 1) if q**k <= MAX_MESSAGES)
         k = k_max - draw(st.integers(0, k_max - 1), label="k_max - k")
         n = MAX_N - draw(st.integers(0, MAX_N - k), label="MAX_N - n")
-        rand = [[F.from_index(rng.randrange(q)) for _ in range(n - k)] for _ in range(k)]
-        if source == "planted" and k >= 3 and n - k >= 4:
-            # dense rows, but message (v0, v1, v2, 0, ...) encodes to weight at
-            # most 4: the witness has message weight 3, where the order of the
-            # values within a support decides which multiple comes first
-            v = [F.from_index(rng.randrange(1, q)) for _ in range(3)]
-            spike = [F.one if c == rng.randrange(n - k) else F.zero for c in range(n - k)]
-            rand[2] = [(s - v[0] * a - v[1] * b) / v[2] for s, a, b in zip(spike, *rand[:2])]
-        rows = [[F.one if i == j else F.zero for j in range(k)] + rand[i] for i in range(k)]
+        if source == "full-width":
+            # no identity prefix: the pivots, and with them the redundancy
+            # columns the info-set kernel compares, may fall anywhere
+            rows = [[F.from_index(rng.randrange(q)) for _ in range(n)] for _ in range(k)]
+        else:
+            rand = [[F.from_index(rng.randrange(q)) for _ in range(n - k)] for _ in range(k)]
+            if source == "planted" and k >= 3 and n - k >= 4:
+                # dense rows, but message (v0, v1, v2, 0, ...) encodes to weight at
+                # most 4: the witness has message weight 3, where the order of the
+                # values within a support decides which multiple comes first
+                v = [F.from_index(rng.randrange(1, q)) for _ in range(3)]
+                spike = [F.one if c == rng.randrange(n - k) else F.zero for c in range(n - k)]
+                rand[2] = [(s - v[0] * a - v[1] * b) / v[2] for s, a, b in zip(spike, *rand[:2])]
+            rows = [[F.one if i == j else F.zero for j in range(k)] + rand[i] for i in range(k)]
         C = LinearCode.from_vectors(F, n, rows)
     budget = draw(st.integers(0, q**C.k + 2) | st.just(codes.DEFAULT_BUDGET), label="budget")
     block = draw(st.sampled_from((q, 4 * q, 64, 1 << 15)), label="block")
@@ -130,3 +137,23 @@ def test_min_distance_matches_reference_enumeration(case):
     with mock.patch.object(codes, "_BLOCK", block):
         assert _run(C, budget, "exhaustive") == reference_exhaustive(F, G, budget, block)
         assert _run(C, budget, "info-set") == reference_infoset(F, G, budget)
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("redundancy", [0, 1])
+def test_min_distance_with_at_most_one_redundancy_column(q, redundancy):
+    """k = n leaves the info-set kernel no column to compare, so each weight
+    is the message weight; k = n - 1 leaves one column, anywhere."""
+    F = GF(q)
+    rng = random.Random(2 * q + redundancy)
+    for k in range(1, max(k for k in range(1, MAX_N + 1) if q**k <= MAX_MESSAGES) + 1):
+        n = k + redundancy
+        C = LinearCode.zero(F, n)
+        while C.k < k:
+            rows = [[F.from_index(rng.randrange(q)) for _ in range(n)] for _ in range(k)]
+            C = LinearCode.from_vectors(F, n, rows)
+        G = [[int(i) for i in row] for row in C.gen]
+        for budget, block in ((codes.DEFAULT_BUDGET, 1 << 15), (q**k // 2, q)):
+            with mock.patch.object(codes, "_BLOCK", block):
+                assert _run(C, budget, "exhaustive") == reference_exhaustive(F, G, budget, block)
+                assert _run(C, budget, "info-set") == reference_infoset(F, G, budget)

@@ -163,6 +163,23 @@ def test_nth_power_witness_errors_and_property():
                 assert all(F.from_index(i) ** n != t for i in range(1, F.q))
 
 
+@pytest.mark.parametrize("q", [729, 2187])
+def test_nth_power_witness_is_least_root_above_table_limit(q):
+    """Above 256 the witness scan stops at the first root; it is still the
+    least of all roots, and None exactly when there is none."""
+    F = GF(q)
+    assert not F.has_tables
+    non_square = next(t for t in range(2, q) if F.pow_index(t, (q - 1) // 2) != 1)
+    cases = [(1, 5), (2, 1), (2, F.pow_index(300, 2)), (7, F.pow_index(500, 7)), (13, 2), (2, non_square)]
+    firsts = []
+    for n, t in cases:
+        roots = F.nth_roots(n, t)
+        w = nth_power_witness(F, F.from_index(t), n)
+        assert (w.index if w is not None else None) == (roots[0] if roots else None), (n, t)
+        firsts.append(roots[:1])
+    assert [] in firsts and any(f not in ([], [1]) for f in firsts)
+
+
 def test_norm_image_classes_frozen():
     count, reps = norm_image_classes(F3, 10)
     assert count == 2
