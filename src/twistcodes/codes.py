@@ -15,13 +15,17 @@ the number of positions where t != -p, so the inner loop reads no field
 table.  The exhaustive method compares all n positions from 0.  In the
 information-set method the pivot entries of a codeword are its message,
 so the weight is the message weight plus the mismatches on the n - k
-redundancy columns, the only columns compared.
+redundancy columns, the only columns compared.  There a support is a head
+plus a tail of its last one or two rows, taken from one table of every
+such tail built per call, and a batch whose minimum cannot beat the best
+codeword so far is not searched for its position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -416,14 +420,15 @@ def _codewords(field: FieldSpec, rows: np.ndarray, digits: np.ndarray, start: in
     return both[start % t : start % t + stop - start]
 
 
-def _scan(field: FieldSpec, P: np.ndarray, T: np.ndarray, m: int, start: int):
+def _scan(field: FieldSpec, P: np.ndarray, T: np.ndarray, m: int, start: int, bound: int):
     """The compare kernel: the weight of P[i] + t is start plus the number
     of positions where t != -P[i], so no field table is read per codeword.
 
     T holds one codeword per column, in groups of m columns, on the columns
     of P.  Weights are visited by group, then by row of P, then within the
     group; returns (weight, r, c) of the first minimum in visiting order,
-    the codeword P[r] + T[:, c].
+    the codeword P[r] + T[:, c].  A batch whose minimum is not below bound
+    cannot improve on the best, so it returns None without looking for it.
     """
     NP, flip = field.np_neg[P].T, len(P) > T.shape[1]  # the longer side runs innermost
     A, B = (T[:, :, None], NP[:, None]) if flip else (NP[:, :, None], T[:, None])
@@ -431,10 +436,12 @@ def _scan(field: FieldSpec, P: np.ndarray, T: np.ndarray, m: int, start: int):
     W = np.full(dims, start, dtype=np.uint8 if start + len(T) < 256 else np.uint16)
     for c in range(len(T)):
         W += A[c] != B[c]
+    if int(W.min()) >= bound:
+        return None
     shape, axes = ((-1, m, len(P)), (0, 2, 1)) if flip else ((len(P), -1, m), (1, 0, 2))
     W = W.reshape(shape).transpose(axes).ravel()
     i = int(W.argmin())
-    if W[i] == 0:  # the zero codeword: message 0, the first one visited
+    if W[i] == 0:  # the zero codeword: message 0, met only while there is no best
         i = 1 + int(W[1:].argmin())
     g, r = divmod(i, len(P) * m)
     return int(W[i]), r // m, g * m + r % m
@@ -457,8 +464,9 @@ def _min_distance_exhaustive(C: LinearCode, budget: int) -> DistanceCertificate:
     for s0, s1, U in spans:
         P = _codewords(field, G[b:], digits, s0, s1)
         for i in range(0, len(P), pb):
-            w, r, c = _scan(field, P[i : i + pb], U, U.shape[1], 0)
-            if best is None or w < best[0]:
+            hit = _scan(field, P[i : i + pb], U, U.shape[1], 0, best[0] if best else C.n + 1)
+            if hit:
+                w, r, c = hit
                 best = w, field.np_add[P[i + r], U[:, c]]
     if stop < total:
         raise BudgetExceeded(best[0] if best else None, 1, stop)
@@ -467,33 +475,52 @@ def _min_distance_exhaustive(C: LinearCode, budget: int) -> DistanceCertificate:
 
 def _min_distance_infoset(C: LinearCode, budget: int) -> DistanceCertificate:
     """A message of weight w has exactly w nonzero pivot entries, so only the
-    n - k redundancy columns are compared and every weight starts at w."""
+    n - k redundancy columns are compared and every weight starts at w.
+
+    A support is a head, its first w - s rows, plus a tail, its last
+    s = min(w, 2) rows (s = 1 when the pairs of rows with all their values
+    would exceed _BLOCK columns).  One table per call holds every s-row tail
+    with every nonzero value tuple; the tails of a head ending at row h are
+    the s-subsets of h+1..k-1, a contiguous suffix of that table, so each
+    head's codewords are built once per batch and compared with a slice."""
     field, G, k = C.field, C.gen, C.k
     ADD, MUL, _, _ = _tables(field)
     m, nz = field.q - 1, np.arange(1, field.q)
     R = G[:, [c for c in range(C.n) if c not in C.pivots]]
+    V = MUL[nz][:, R].transpose(1, 0, 2)  # V[i, j] = nz[j] * R[i]
+    s_max = 1 if comb(k, 2) * m * m > _BLOCK else 2
     best, work, completed = None, 0, 0
     for w in range(1, k + 1):
-        n_vals, n_head = m**w, m ** (w - 1)
-        pb = min(n_head, _BLOCK // m)  # head codewords per batch
-        step = max(1, _BLOCK // (pb * m))  # last rows per batch
-        # supports that share their first w - 1 rows (the head) are consecutive;
+        if w <= s_max:  # s = min(w, s_max) grows
+            s = w
+            # every s-row tail in combinations order, its values in product order
+            tails = np.array(list(combinations(range(k), s)))
+            T = V[tails[:, 0]]
+            if s == 2:
+                T = ADD[T[:, :, None], V[tails[:, 1]][:, None]]
+            g = m**s  # columns per tail
+            T = np.ascontiguousarray(T.reshape(len(tails) * g, -1).T)
+            suffix = np.searchsorted(tails[:, 0], np.arange(k + 1)).tolist()
+        n_vals, n_head = m**w, m ** (w - s)
+        pb = min(n_head, _BLOCK // g)  # head codewords per batch
+        step = max(1, _BLOCK // (pb * g))  # tails per batch
+        # supports that share their head are consecutive in combinations order;
         # meshgrid order over the head is little-endian over the reversed head
-        for head in combinations(range(k), w - 1):
+        for head in combinations(range(k), w - s):
             rows = list(head[::-1])
-            first = head[-1] + 1 if head else 0
-            fit = min(k - first, max(0, (budget - work) // n_vals))
-            # every nonzero multiple of every admissible last row, by row then multiple
-            T = MUL[nz][:, R[first : first + fit]].transpose(2, 1, 0).reshape(R.shape[1], fit * m)
-            for l0 in range(0, fit, step):
+            t0 = suffix[head[-1] + 1 if head else 0]
+            fit = min(len(tails) - t0, max(0, (budget - work) // n_vals))
+            for l0 in range(t0, t0 + fit, step):
+                U = T[:, l0 * g : min(l0 + step, t0 + fit) * g]
                 for p0 in range(0, n_head, pb):
                     P = _codewords(field, R[rows], nz, p0, min(p0 + pb, n_head))
-                    d, r, c = _scan(field, P, T[:, l0 * m : (l0 + step) * m], m, w)
-                    if best is None or d < best[0]:
-                        head_word = _codewords(field, G[rows], nz, p0 + r, p0 + r + 1)[0]
-                        best = d, ADD[head_word, MUL[nz[c % m], G[first + l0 + c // m]]]
+                    hit = _scan(field, P, U, g, w, best[0] if best else C.n + 1)
+                    if hit:
+                        d, r, c = hit
+                        supp, i = head + tuple(tails[l0 + c // g]), (p0 + r) * g + c % g
+                        best = d, _codewords(field, G[list(supp[::-1])], nz, i, i + 1)[0]
             work += fit * n_vals
-            if fit < k - first:
+            if fit < len(tails) - t0:
                 raise BudgetExceeded(best[0] if best else None, completed + 1, work)
         completed = w
         if w + 1 >= best[0]:

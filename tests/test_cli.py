@@ -175,6 +175,40 @@ def test_distance_witnesses_frozen_at_length_21(capsys):
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == DISTANCE_Q5_N21_SHA256
 
 
+@pytest.mark.parametrize(
+    "block, groups, batch",
+    [
+        # below C(12, 2) * 4^2 = 1056 for every info-set code (k >= 12): one-row
+        # tails throughout, and 1020 // 4 = 255 of the 256 weight-5 head
+        # codewords per batch, so those head spans split over two batches
+        (1020, {4}, (5, 4, 255, 4)),
+        # at least C(21, 2) * 4^2 = 3360: two-row tails from weight 2 on; at
+        # weight 3 a batch holds 4096 // (4 * 16) = 64 tails, fewer than the 66
+        # of head (0,) when k = 13, so that head's tails split over two batches
+        (4096, {4, 16}, (3, 16, 4, 64 * 16)),
+    ],
+)
+def test_distance_witnesses_independent_of_block_size(capsys, block, groups, batch):
+    """The 16 info-set certificates of the length-21 test stay byte-identical
+    when codes._BLOCK reshapes the batches (head rows x tail columns)."""
+    argv = ["distance", "-q", "5", "-n", "21", "--lam", "4", "--format", "json", "--seed", "0"]
+    masks = (12, 13, 14, 15, *range(20, 32))
+    frozen = [run(capsys, argv + ["--mask", str(mask)]) for mask in masks]
+    scan, batches = twistcodes.codes._scan, set()
+
+    def spy(field, P, T, m, start, bound):
+        if start:  # info-set batches: (weight, group size, head rows, tail columns)
+            batches.add((start, m, len(P), T.shape[1]))
+        return scan(field, P, T, m, start, bound)
+
+    with unittest.mock.patch.object(twistcodes.codes, "_BLOCK", block):
+        with unittest.mock.patch.object(twistcodes.codes, "_scan", spy):
+            again = [run(capsys, argv + ["--mask", str(mask)]) for mask in masks]
+    assert again == frozen
+    assert {rec["method"] for _, out in frozen for rec in json_lines(out)[1:]} == {"info-set"}
+    assert {b[1] for b in batches} == groups and batch in batches
+
+
 def test_lcd_check(capsys):
     rc, out = run(
         capsys, ["lcd-check", "-q", "3", "-n", "10", "--lam", "2", "--idempotent", E1_SEQ]

@@ -12,6 +12,7 @@ exhaustion mid-enumeration and the kernel's table splits.
 """
 
 import random
+import tracemalloc
 from itertools import combinations, product
 from unittest import mock
 
@@ -157,3 +158,29 @@ def test_min_distance_with_at_most_one_redundancy_column(q, redundancy):
             with mock.patch.object(codes, "_BLOCK", block):
                 assert _run(C, budget, "exhaustive") == reference_exhaustive(F, G, budget, block)
                 assert _run(C, budget, "info-set") == reference_infoset(F, G, budget)
+
+
+def test_infoset_budget_bounds_memory():
+    """With C(k, 2) * (q - 1)^2 > _BLOCK the info-set search compares one-row
+    tails, so no table of every row pair is built: here it would hold
+    C(40, 2) * 16^2 = 199,680 columns of 48 redundancy entries (about 9.6 MB,
+    and several times that in index arrays while it is gathered)."""
+    F, k, n = GF(17), 40, 88
+    rng = random.Random(17)
+    rows = [
+        [F.one if i == j else F.zero for j in range(k)]
+        + [F.from_index(rng.randrange(17)) for _ in range(n - k)]
+        for i in range(k)
+    ]
+    C = LinearCode.from_vectors(F, n, rows)
+    assert (k * (k - 1) // 2) * 16**2 > codes._BLOCK
+    budget = k * 16 + 20 * 16**2 + 100  # weight 1 and 20 supports of weight 2
+    tracemalloc.start()
+    try:
+        got = _run(C, budget, "info-set")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    G = [[int(i) for i in row] for row in C.gen]
+    assert got == reference_infoset(F, G, budget) == ("budget", 2, got[2], k * 16 + 20 * 16**2)
+    assert peak < 8 * 2**20
