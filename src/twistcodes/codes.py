@@ -59,7 +59,7 @@ def _tables(field: FieldSpec):
     return field.np_add, field.np_mul, field.np_neg, field.np_inv
 
 
-def _vec_idx(field: FieldSpec, v: Sequence[FieldElem]) -> np.ndarray:
+def _vec_idx(v: Sequence[FieldElem]) -> np.ndarray:
     return np.array([c.index for c in v], dtype=np.uint8)
 
 
@@ -70,7 +70,7 @@ def _vec_elems(field: FieldSpec, row: np.ndarray) -> Vector:
 def _rref(field: FieldSpec, M: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
     ADD, MUL, NEG, INV = _tables(field)
-    M = M.astype(np.uint8).copy()
+    M = M.astype(np.uint8)
     rows, cols = M.shape
     pivots = []
     r = 0
@@ -124,7 +124,7 @@ class LinearCode:
             for c in v:
                 if c.field != field:
                     raise FieldMismatch("vector entry from a different field")
-            rows.append(_vec_idx(field, v))
+            rows.append(_vec_idx(v))
         if not rows:
             return cls.zero(field, n)
         R, piv = _rref(field, np.array(rows, dtype=np.uint8))
@@ -150,7 +150,7 @@ class LinearCode:
     def contains(self, v: Sequence[FieldElem]) -> bool:
         if len(v) != self.n:
             raise LengthMismatch(f"vector of length {len(v)}, expected {self.n}")
-        return _rank(self.field, self.gen, _vec_idx(self.field, v)) == self.k
+        return _rank(self.field, self.gen, _vec_idx(v)) == self.k
 
     def __eq__(self, other):
         return (
@@ -277,17 +277,15 @@ def dual(C: LinearCode, k: int = 0) -> LinearCode:
     """
     field = C.field
     field.check_galois(k)
-    ADD, MUL, NEG, _ = _tables(field)
+    NEG = _tables(field)[2]
     n = C.n
-    piv_set = set(C.pivots)
-    free = [c for c in range(n) if c not in piv_set]
+    free = sorted(set(range(n)).difference(C.pivots))
     if not free:
         return LinearCode.zero(field, n)
+    # row r: 1 at column free[r], -gen[i, free[r]] at column pivots[i]
     N = np.zeros((len(free), n), dtype=np.uint8)
-    for row, j in enumerate(free):
-        N[row, j] = 1
-        for i, pc in enumerate(C.pivots):
-            N[row, pc] = NEG[C.gen[i, j]]
+    N[:, free] = np.eye(len(free), dtype=np.uint8)
+    N[:, list(C.pivots)] = NEG[C.gen[:, free]].T
     for _ in range(field.m - k if k else 0):  # the p^(m-k) power, none for k = 0
         N = field.np_frob[N]
     R, piv = _rref(field, N)
@@ -397,26 +395,21 @@ def _check_bounds(q: int, n: int, k: int, d: int, where: str, error: type = Erro
         )
 
 
-def _span(field: FieldSpec, rows: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """sum_j d_j rows[j] for every digit tuple over `digits`, one codeword
-    per row, little-endian: the digit of rows[0] varies fastest."""
-    ADD, MUL, _, _ = _tables(field)
-    out = np.zeros((1, rows.shape[1]), dtype=np.uint8)
-    for g in rows:
-        out = ADD[MUL[digits][:, g][:, None], out[None]].reshape(len(digits) * len(out), -1)
-    return out
-
-
 def _codewords(field: FieldSpec, rows: np.ndarray, digits: np.ndarray, start: int, stop: int):
-    """Entries start..stop-1 of _span(field, rows, digits), building no table
-    of more than stop - start + 2 * _BLOCK rows."""
+    """Entries start..stop-1 of the span sum_j d_j rows[j] over every digit
+    tuple over `digits`, one codeword per row, little-endian: the digit of
+    rows[0] varies fastest.  Builds no table of more than
+    stop - start + 2 * _BLOCK rows."""
+    ADD, MUL, _, _ = _tables(field)
     b = max(b for b in range(len(rows) + 1) if len(digits) ** b <= _BLOCK)
-    low = _span(field, rows[:b], digits)
+    low = np.zeros((1, rows.shape[1]), dtype=np.uint8)
+    for g in rows[:b]:
+        low = ADD[MUL[digits][:, g][:, None], low[None]].reshape(len(digits) * len(low), -1)
     if b == len(rows):
         return low[start:stop]
     t = len(low)
     high = _codewords(field, rows[b:], digits, start // t, -(-stop // t))
-    both = field.np_add[high[:, None], low[None]].reshape(len(high) * t, -1)
+    both = ADD[high[:, None], low[None]].reshape(len(high) * t, -1)
     return both[start % t : start % t + stop - start]
 
 
@@ -454,7 +447,7 @@ def _min_distance_exhaustive(C: LinearCode, budget: int) -> DistanceCertificate:
     stop = total if total <= budget else max(0, budget // _BLOCK * _BLOCK)
     # message i is prefix i // t (rows b..k-1) plus entry i % t of T (rows 0..b-1)
     b = max(b for b in range(k + 1) if q**b <= max(1, min(stop, _BLOCK)))
-    T = np.ascontiguousarray(_span(field, G[:b], digits).T)
+    T = np.ascontiguousarray(_codewords(field, G[:b], digits, 0, q**b).T)
     t = T.shape[1]
     full, rem = divmod(stop, t)
     best, pb = None, max(1, _BLOCK // t)

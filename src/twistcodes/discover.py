@@ -105,9 +105,8 @@ class CodeRecord:
 class BestKnownTable:
     """Best-known distances keyed by (q, n, k), from a q,n,k,d text file."""
 
-    def __init__(self, entries: dict[tuple[int, int, int], int], source: str = "<memory>"):
+    def __init__(self, entries: dict[tuple[int, int, int], int]):
         self.entries = dict(entries)
-        self.source = source
 
     @classmethod
     def load(cls, path) -> "BestKnownTable":
@@ -138,13 +137,13 @@ class BestKnownTable:
                 raise TableParseError(f"{source}:{lineno}: need q >= 2 and 1 <= k <= n in {raw!r}")
             _check_bounds(q, n, k, d, f"{source}:{lineno}: ", TableParseError)
             entries[(q, n, k)] = d
-        return cls(entries, source)
+        return cls(entries)
 
     @classmethod
     def bundled(cls) -> "BestKnownTable":
         """The table shipped with the package, parsed once per process;
         each call returns its own copy."""
-        return cls(_bundled_entries(), "bundled")
+        return cls(_bundled_entries())
 
     def lookup(self, q: int, n: int, k: int) -> Optional[int]:
         return self.entries.get((q, n, k))

@@ -146,6 +146,19 @@ def test_distance(capsys):
     assert rc == 0
     rec = [r for r in json_lines(out) if r["record"] == "distance"][0]
     assert rec["d"] == 2 and rec["method"] == "exhaustive" and rec["work"] == 3**8
+    # either method by name: the same codeword, info-set certified at message weight 1
+    for method, work, message_weight in (("exhaustive", 3**8, None), ("info-set", 16, 1)):
+        rc, out = run(
+            capsys,
+            ["distance", "-q", "3", "-n", "10", "--lam", "2", "--mask", "6", "--method", method,
+             "--format", "json"],
+        )
+        assert rc == 0
+        rec = [r for r in json_lines(out) if r["record"] == "distance"][0]
+        assert (rec["d"], rec["method"], rec["work"], rec["message_weight"]) == (
+            2, method, work, message_weight
+        )
+        assert rec["witness"] == [1, 0, 0, 0, 0, 0, 0, 0, 2, 0]
 
 
 def test_distance_budget_exceeded(capsys):
@@ -322,18 +335,19 @@ def test_search_without_distances_above_table_limit(capsys):
 
 
 def test_negative_budget_is_a_usage_error(capsys):
-    for argv in (
-        ["search", "-q", "3", "-n", "10", "--lam", "2"],
-        ["distance", "-q", "3", "-n", "10", "--lam", "2", "--mask", "6"],
-        ["verify-examples"],
+    for argv, budget in (
+        (["search", "-q", "3", "-n", "10", "--lam", "2"], "-5"),
+        (["distance", "-q", "3", "-n", "10", "--lam", "2", "--mask", "6"], "-5"),
+        (["verify-examples"], "-5"),
+        (["distance", "-q", "3", "-n", "10", "--lam", "2", "--mask", "6"], "abc"),
     ):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--budget", "-5"])
+            main(argv + ["--budget", budget])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert not captured.out
         assert captured.err.splitlines()[-1].endswith(
-            "error: argument --budget: expected an integer >= 0, got '-5'"
+            f"error: argument --budget: expected an integer >= 0, got '{budget}'"
         )
     # zero is a budget: it is used up before the first message
     rc, out = run(capsys, ["distance", "-q", "3", "-n", "10", "--lam", "2", "--mask", "6", "--budget", "0"])
@@ -350,6 +364,14 @@ def test_verify_examples_subset(capsys):
     assert recs[-1] == {"record": "summary", "passed": True}
     names = {r["example"] for r in recs if r["record"] == "check"}
     assert len(names) == 2
+    # a budget too small for the [10,8] code fails its certificate, and the run
+    rc, out = run(capsys, ["verify-examples", "--budget", "1000", "--example", "GF(3)", "--format", "json"])
+    assert rc == 1
+    recs = json_lines(out)
+    assert recs[-1] == {"record": "summary", "passed": False}
+    failed = {r["label"] for r in recs if r["record"] == "check" and not r["passed"]}
+    assert "<e> distance certified" in failed
+    assert "<f> distance certified" not in failed
 
 
 def test_verify_examples_seed_reaches_enumeration(capsys, monkeypatch):
@@ -413,6 +435,14 @@ def test_extension_field_lambda_coordinates(capsys):
     assert rc == 0
     recs = json_lines(out)
     assert sum(r["degree"] for r in recs if r["record"] == "factor") == 5
+    # GF(9) with the default modulus: one element per coordinate pair, ';'-separated
+    for flag, value, k in (
+        ("--idempotent", "2,0;0,0;1,0;0,0", 2),
+        ("--genpoly", "2,0;1,0", 3),
+    ):
+        rc, out = run(capsys, ["code", "-q", "9", "-n", "4", "--lam", "1", flag, value])
+        assert rc == 0
+        assert f"[4,{k}] code over GF(9)" in out
 
 
 def test_usage_error_exit_2():
@@ -463,17 +493,20 @@ def test_lcd_check_not_semisimple(capsys):
     ctx = AlgebraCtx(GF(3), 6, 2)
     assert not ctx.semisimple and ctx.has_involution  # 2^2 = 1 in GF(3)
     assert AlgebraCtx(GF(3), 10, 2).semisimple
-    rc, out = run(
-        capsys,
-        ["lcd-check", "-q", "3", "-n", "6", "--lam", "2", "--idempotent", "1,1", "--format", "json"],
-    )
-    assert rc == 0
-    rec = json_lines(out)[-1]
-    assert rec["idempotent_lcd"] is None
-    assert rec["subspace_lcd"] is True and rec["agree"] is True
-    rc, out = run(capsys, ["lcd-check", "-q", "3", "-n", "6", "--lam", "2", "--idempotent", "1,1"])
-    assert rc == 0
-    assert "idempotent criterion n/a (p divides n)" in out
+    # and likewise without the involution: 2^2 = 4 != 1 in GF(5)
+    assert not AlgebraCtx(GF(5), 4, 2).has_involution
+    for argv, reason in (
+        (["-q", "3", "-n", "6", "--lam", "2", "--idempotent", "1,1"], "p divides n"),
+        (["-q", "5", "-n", "4", "--lam", "2", "--mask", "1"], "lam^2 != 1"),
+    ):
+        rc, out = run(capsys, ["lcd-check", *argv, "--format", "json"])
+        assert rc == 0
+        rec = json_lines(out)[-1]
+        assert rec["idempotent_lcd"] is None
+        assert rec["subspace_lcd"] is True and rec["agree"] is True
+        rc, out = run(capsys, ["lcd-check", *argv])
+        assert rc == 0
+        assert f"idempotent criterion n/a ({reason})" in out
 
 
 def _fresh_process(argv):

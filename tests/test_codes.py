@@ -415,6 +415,8 @@ def test_min_distance_errors():
     with pytest.raises(BudgetExceeded) as exc:
         min_distance(big, budget=3, method="info-set")
     assert exc.value.lower == 1
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        min_distance(C1, method="bogus")
 
 
 def _kernel_returning(d):

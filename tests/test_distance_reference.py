@@ -160,6 +160,49 @@ def test_min_distance_with_at_most_one_redundancy_column(q, redundancy):
                 assert _run(C, budget, "info-set") == reference_infoset(F, G, budget)
 
 
+# Generator rows (field indices) of codes whose first minimum-weight codeword
+# in visiting order depends on the order of a head's scans, found by a random
+# search over small codes at _BLOCK = q
+SPLIT_HEAD_CODES = [
+    (4, [
+        [1, 0, 0, 0, 0, 2, 2, 0, 2, 1, 1],
+        [0, 1, 0, 0, 0, 0, 3, 0, 1, 1, 2],
+        [0, 0, 1, 0, 0, 3, 3, 1, 3, 3, 0],
+        [0, 0, 0, 1, 0, 3, 2, 1, 1, 0, 3],
+        [0, 0, 0, 0, 1, 2, 2, 3, 0, 0, 3],
+    ]),
+    (7, [
+        [1, 0, 0, 0, 0, 0, 4, 2, 0, 3, 6, 1],
+        [0, 1, 0, 0, 0, 0, 3, 6, 3, 6, 1, 4],
+        [0, 0, 1, 0, 0, 0, 3, 2, 6, 2, 3, 0],
+        [0, 0, 0, 1, 0, 0, 1, 5, 2, 4, 4, 3],
+        [0, 0, 0, 0, 1, 0, 5, 5, 6, 1, 6, 5],
+        [0, 0, 0, 0, 0, 1, 5, 6, 2, 3, 2, 6],
+    ]),
+    (7, [
+        [1, 0, 0, 0, 4, 2, 1],
+        [0, 1, 0, 0, 4, 5, 3],
+        [0, 0, 1, 0, 2, 4, 6],
+        [0, 0, 0, 1, 2, 5, 2],
+    ]),
+]
+
+
+@pytest.mark.parametrize("q, G", SPLIT_HEAD_CODES)
+def test_split_head_spans_keep_visiting_order(q, G):
+    """At _BLOCK = q each head's codewords span several scans.  One head's
+    supports are visited tail by tail, so every part of the head must meet
+    a batch of tails before the next batch is taken; scanning the parts of
+    the head outermost finds the same d in these codes with another witness."""
+    F = GF(q)
+    C = LinearCode.from_vectors(F, len(G[0]), [[F.from_index(i) for i in row] for row in G])
+    assert [[int(i) for i in row] for row in C.gen] == G
+    budget = codes.DEFAULT_BUDGET
+    with mock.patch.object(codes, "_BLOCK", q):
+        assert _run(C, budget, "exhaustive") == reference_exhaustive(F, G, budget, q)
+        assert _run(C, budget, "info-set") == reference_infoset(F, G, budget)
+
+
 def test_infoset_budget_bounds_memory():
     """With C(k, 2) * (q - 1)^2 > _BLOCK the info-set search compares one-row
     tails, so no table of every row pair is built: here it would hold
