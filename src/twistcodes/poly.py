@@ -4,14 +4,15 @@ the primitive CRT idempotents of F_q[x]/(x^n - lambda).
 Coefficients are stored little-endian as a tuple of integer field
 indices, trimmed so the leading one is nonzero; FieldElem appears only
 at the boundary.  Each operation binds the field's operation tables once
-and loops over indices.  Factorization runs distinct-degree
-factorization; on fields with a log table (q <= 256) the linear part
-splits into x - a for the n-th roots a of lam, read from that table, and
-every other part by Cantor-Zassenhaus equal-degree splitting with a
-seeded RNG, by the absolute trace in every characteristic, raised to
-the p-th power by rows x^(p i) mod f.  The factor list is sorted by
-(degree, coefficient indices), so it is unique whatever the seed and
-every downstream enumeration order is reproducible.
+and loops over indices.  x^n - lam is factored in A = F_q[x]/(x^n - lam),
+whose p-th power map permutes the monomials, each scaled by a power of
+lam.  Distinct-degree factorization raises to the q-th power by it; on
+fields with a log table (q <= 256) the linear part splits into x - a for
+the n-th roots a of lam, read from that table, and every other part by
+Cantor-Zassenhaus splitting with a seeded RNG, by the absolute trace in
+every characteristic, summed in A by the same map.  The factor list is
+sorted by (degree, coefficient indices), so it is unique whatever the
+seed and every downstream enumeration order is reproducible.
 `primitive_idempotents` takes that list from its caller, so one
 factorization serves both; the cofactors h_i = (x^n - lam)/f_i come
 from their recurrence, and CRT inverses from the derivative:
@@ -245,23 +246,23 @@ def is_irreducible(f: Poly) -> bool:
     if f.degree < 1:
         raise ConstantPolynomial("irreducibility needs degree >= 1")
     fm = f.monic()
-    return _ddf(fm) == [(fm, fm.degree)]
+    return _ddf(fm, lambda g, f: g.pow_mod(f.field.q, f)) == [(fm, fm.degree)]
 
 
-def _ddf(f: Poly) -> list[tuple[Poly, int]]:
+def _ddf(f: Poly, qth) -> list[tuple[Poly, int]]:
     """Distinct-degree split of a monic f: [(product, degree)].  For a
     squarefree f each product is that of the irreducible factors of its
     degree.  Any reducible monic f has an irreducible factor of degree
-    <= deg/2, which the split finds even when f is not squarefree."""
-    F = f.field
-    q = F.q
-    x = Poly.x(F)
+    <= deg/2, which the split finds even when f is not squarefree.
+    qth(g, f) is congruent to g^q mod the current f, reduced here; g runs
+    through x^(q^d) mod f."""
+    x = Poly.x(f.field)
     out = []
     g = x % f
     d = 0
     while 2 * (d + 1) <= f.degree:
         d += 1
-        g = g.pow_mod(q, f)
+        g = qth(g, f) % f
         h = (g - (x % f)).gcd(f)
         if not h.is_one():
             out.append((h, d))
@@ -274,52 +275,46 @@ def _ddf(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _pth_power(f: Poly):
-    """t -> t^p = sum c_i^p x^(p i) mod f, p the characteristic, deg t < deg f:
-    terms with p i < deg f are placed directly, the others added from rows
-    x^(p i) mod f, built from X = x^p mod f."""
-    F, D, p = f.field, f.degree, f.field.p
-    ADD, MUL, FROB = F._add, F._mul, F._frob
-    low, rows = -(-D // p), []  # the first i with p i >= D
-    X = Poly.x(F).pow_mod(p, f)  # x^p itself when p < D
-    r = (Poly.from_indices(F, [0] * (p * low - p) + [1]) * X) % f
-    for _ in range(low, D):  # r runs through x^(p i) mod f, padded to length D
-        rows.append(r.indices + (0,) * (D - len(r.indices)))
-        r = (X * r) % f
+def _frobenius(field: FieldSpec, n: int, lam: FieldElem):
+    """power(t, j) = t^(p^j) in A = F_q[x]/(x^n - lam), p the characteristic,
+    on index lists of length <= n, as a list of length n: x^n = lam gives
+    (c x^i)^p = c^p lam^(p i // n) x^(p i % n), a permutation of the monomials
+    as gcd(n, p) = 1, and power holds mod every factor of x^n - lam."""
+    p, MUL, FROB = field.p, field._mul, field._frob
+    moves = [(p * i % n, MUL[field.pow_index(lam.index, p * i // n)]) for i in range(n)]
 
-    def power(t: Poly) -> Poly:
-        out = [0] * D
-        for i, c in enumerate(t.indices[:low]):
-            out[p * i] = FROB[c]
-        for c, row in zip(t.indices[low:], rows):
-            if c:
-                mc = MUL[FROB[c]]
-                out = [ADD[o][mc[y]] for o, y in zip(out, row)]
-        return Poly.from_indices(F, out)
+    def power(t: Sequence[int], j: int = 1) -> list[int]:
+        for _ in range(j):
+            out = [0] * n
+            for c, (at, row) in zip(t, moves):
+                out[at] = row[FROB[c]]
+            t = out
+        return t
 
     return power
 
 
-def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
+def _edf(f: Poly, d: int, rng: random.Random, power) -> list[Poly]:
     """Cantor-Zassenhaus equal-degree splitting: f is a monic squarefree
-    product of irreducibles, all of degree d.  A random r of degree < deg f
-    has, modulo each factor, an absolute trace T in GF(p); f splits by
-    gcd(T, f) for p = 2, or by gcd(T^((p-1)/2) - 1, f)."""
+    product of irreducibles, all of degree d, dividing x^n - lam, and power
+    is the p-th power map of F_q[x]/(x^n - lam) (_frobenius).  A random r of
+    degree < deg f has, modulo each factor, an absolute trace T in GF(p),
+    summed in that algebra and reduced mod f once; f splits by gcd(T, f)
+    for p = 2, or by gcd(T^((p-1)/2) - 1, f)."""
     if f.degree == d:
         return [f]
     F = f.field
-    q, p, k = F.q, F.p, F.m * d
-    power = _pth_power(f) if k > 1 else None
+    q, p, k, ADD = F.q, F.p, F.m * d, F._add
     while True:
-        r = Poly.from_indices(F, [rng.randrange(q) for _ in range(f.degree)])
-        s = t = r
-        for _ in range(k - 1):  # s = sum of r^(p^j), j < k
-            t = power(t)
-            s = s + t
+        s = r = [rng.randrange(q) for _ in range(f.degree)]
+        for _ in range(k - 1):  # s = r + s^p, so s = sum of r^(p^j), j < k
+            s = power(s)
+            s[: len(r)] = [ADD[a][b] for a, b in zip(s, r)]
+        s = Poly.from_indices(F, s) % f
         g = s.gcd(f) if p == 2 else (s.pow_mod((p - 1) // 2, f) - Poly.one(F)).gcd(f)
         if not g.is_one() and g.degree < f.degree:
             break
-    return _edf(g, d, rng) + _edf(f // g, d, rng)
+    return _edf(g, d, rng, power) + _edf(f // g, d, rng, power)
 
 
 def factor_xn_minus_lambda(
@@ -347,15 +342,16 @@ def factor_xn_minus_lambda(
     rng = random.Random(
         (seed * 0x9E3779B1) ^ (field.q << 24) ^ (n << 12) ^ lam.index
     )
+    power = _frobenius(field, n, lam)
     factors: list[Poly] = []
-    for part, d in _ddf(f):
+    for part, d in _ddf(f, lambda g, _: Poly.from_indices(field, power(g.indices, field.m))):
         if d == 1 and field.has_tables:
             roots = field.nth_roots(n, lam.index)
             # distinct roots, each a root of part: as many as deg part means the same set
             assert len(roots) == part.degree, "the linear part is the product of x - a, a^n = lam"
             factors.extend(Poly.from_indices(field, (field._neg[a], 1)) for a in roots)
         else:
-            factors.extend(_edf(part, d, rng))
+            factors.extend(_edf(part, d, rng, power))
     factors.sort(key=Poly.key)
     return factors
 

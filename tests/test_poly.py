@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from twistcodes import poly
 from twistcodes.errors import ConstantPolynomial, NotSquarefree, ZeroLambda
 from twistcodes.gf import GF, FieldSpec, prime_factors
 from twistcodes.poly import (
@@ -10,6 +11,7 @@ from twistcodes.poly import (
     _cofactor,
     _ddf,
     _edf,
+    _frobenius,
     factor_xn_minus_lambda,
     is_irreducible,
     primitive_idempotents,
@@ -190,6 +192,18 @@ def test_factor_degrees_are_root_orbits(q, n, lam):
     assert all(f.is_monic for f in factors)
 
 
+@pytest.mark.parametrize("F", [F2, F3, F4, F5, F7, GF(8), F9, GF(11), GF(13), GF(16)], ids=repr)
+def test_factor_degrees_are_root_orbits_for_every_lambda(F):
+    """The root-orbit degrees, for every unit lam and every n < 40 coprime to p."""
+    for li in range(1, F.q):
+        lam = F.from_index(li)
+        r = next(k for k in range(1, F.q) if F.pow_index(li, k) == 1)
+        for n in range(1, 40):
+            if n % F.p:
+                factors = factor_xn_minus_lambda(F, n, lam)
+                assert sorted(f.degree for f in factors) == _root_orbit_sizes(F.q, n, r), (n, li)
+
+
 def test_n_one_factor():
     assert factor_xn_minus_lambda(F5, 1, F5.element(4)) == [Poly(F5, [1, 1])]
 
@@ -246,12 +260,50 @@ def test_linear_factors_from_roots_match_splitting(F):
             continue
         for li in lams:
             lam = F.from_index(li)
-            linear = [part for part, d in _ddf(Poly.xn_minus(F, n, lam)) if d == 1]
+            linear = [part for part, d in _ddf(Poly.xn_minus(F, n, lam), _pow_mod_q) if d == 1]
             if not F.nth_roots(n, li):
                 assert linear == [], (n, li)  # so the root route is never taken
                 continue
             got = [f for f in factor_xn_minus_lambda(F, n, lam) if f.degree == 1]
-            assert got == sorted(_edf(linear[0], 1, rng), key=Poly.key), (n, li)
+            split = _edf(linear[0], 1, rng, _frobenius(F, n, lam))
+            assert got == sorted(split, key=Poly.key), (n, li)
+
+
+def _pow_mod_q(g, f):
+    """The generic q-th power step of _ddf, by square and multiply mod f."""
+    return g.pow_mod(f.field.q, f)
+
+
+DDF_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 243, 256, 343, 729)
+
+
+class _Split(Exception):
+    """Carries the distinct-degree split out of factor_xn_minus_lambda."""
+
+
+@pytest.mark.parametrize("q", DDF_QS)
+def test_ddf_by_algebra_frobenius_matches_pow_mod(q, monkeypatch):
+    """The distinct-degree split factor_xn_minus_lambda takes of x^n - lam,
+    driven by the p-th power map of F_q[x]/(x^n - lam), is the split that
+    square and multiply mod each remaining part gives, for every n < 40
+    coprime to p and several lam.  The spy stops the call after the split."""
+
+    def spy(f, qth):
+        raise _Split(f, _ddf(f, qth))
+
+    F = GF(q)
+    monkeypatch.setattr(poly, "_ddf", spy)
+    rng = random.Random(q)
+    for n in range(1, 40):
+        if n % F.p == 0:
+            continue
+        for li in sorted({1, q - 1, rng.randrange(1, q)}):
+            lam = F.from_index(li)
+            with pytest.raises(_Split) as split:
+                factor_xn_minus_lambda(F, n, lam)
+            f, got = split.value.args
+            assert f == Poly.xn_minus(F, n, lam)
+            assert got == _ddf(f, _pow_mod_q), (n, li)
 
 
 def test_primitive_idempotents_irreducible_case():

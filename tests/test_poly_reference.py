@@ -12,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from twistcodes.gf import GF  # noqa: E402
-from twistcodes.poly import Poly, _pth_power  # noqa: E402
+from twistcodes.poly import Poly, _frobenius  # noqa: E402
 
 # prime and extension fields with tables, and the scalar paths above 256
 DIFF_QS = (2, 3, 7, 4, 8, 9, 16, 25, 256, 257, 729)
@@ -152,18 +152,21 @@ def test_poly_matches_digit_reference(q, data):
 
 
 # every characteristic the splitting meets: prime and extension fields with
-# tables, p > deg f (GF(257)), and the scalar paths above 256
+# tables, p > n (GF(257)), and the scalar paths above 256
 POWER_QS = (2, 3, 4, 5, 7, 9, 25, 27, 49, 256, 257, 512, 729)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_pth_power_rows_match_pow_mod(data):
-    """The x^(p i) mod f row table raises to the p-th power exactly as
-    t.pow_mod(p, f) does, in every field of POWER_QS."""
+def test_algebra_frobenius_matches_pow_mod(data):
+    """The p-th power map of F_q[x]/(x^n - lam) raises to the p-th power
+    exactly as t.pow_mod(p, x^n - lam) does, and its m-fold to the q-th, in
+    every field of POWER_QS, for n coprime to p, a unit lam and deg t < n."""
     for q in POWER_QS:
         F = _fields(q)[0]
-        coef = st.integers(0, q - 1)
-        f = Poly.from_indices(F, data.draw(st.lists(coef, min_size=1, max_size=12), label="f") + [1])
-        t = Poly.from_indices(F, data.draw(st.lists(coef, max_size=f.degree), label="t"))
-        assert _pth_power(f)(t) == t.pow_mod(F.p, f)
+        n = data.draw(st.integers(1, 30).filter(lambda n: n % F.p), label="n")
+        lam = F.from_index(data.draw(st.integers(1, q - 1), label="lam"))
+        t = Poly.from_indices(F, data.draw(st.lists(st.integers(0, q - 1), max_size=n), label="t"))
+        power, xn = _frobenius(F, n, lam), Poly.xn_minus(F, n, lam)
+        assert Poly.from_indices(F, power(t.indices)) == t.pow_mod(F.p, xn)
+        assert Poly.from_indices(F, power(t.indices, F.m)) == t.pow_mod(q, xn)
