@@ -12,13 +12,15 @@ certifying d once the weight bound passes the best codeword found.  Both
 share one compare kernel: each message is a prefix codeword p plus an
 entry t of a small table, and the weight of p + t is a start weight plus
 the number of positions where t != -p, so the inner loop reads no field
-table.  The exhaustive method compares all n positions from 0.  In the
-information-set method the pivot entries of a codeword are its message,
-so the weight is the message weight plus the mismatches on the n - k
-redundancy columns, the only columns compared.  There a support is a head
-plus a tail of its last one or two rows, taken from one table of every
-such tail built per call, and a batch whose minimum cannot beat the best
-codeword so far is not searched for its position.
+table; it counts a slab of positions per numpy pass.  The exhaustive
+method compares all n positions from 0.  In the information-set method
+the pivot entries of a codeword are its message, so the weight is the
+message weight plus the mismatches on the n - k redundancy columns, the
+only columns compared.  There a support is a head plus a tail of its last
+one or two rows, taken from one table of every such tail built per call;
+a head's codewords are built once from those of the head less its last
+row, shared by consecutive heads, and a batch whose minimum cannot beat
+the best codeword so far is not searched for its position.
 """
 
 from __future__ import annotations
@@ -418,7 +420,9 @@ def _scan(field: FieldSpec, P: np.ndarray, T: np.ndarray, m: int, start: int, bo
     of positions where t != -P[i], so no field table is read per codeword.
 
     T holds one codeword per column, in groups of m columns, on the columns
-    of P.  Weights are visited by group, then by row of P, then within the
+    of P.  The mismatches of a slab of positions are counted by one
+    broadcast compare and one sum, its bools at most 16 * _BLOCK bytes.
+    Weights are visited by group, then by row of P, then within the
     group; returns (weight, r, c) of the first minimum in visiting order,
     the codeword P[r] + T[:, c].  A batch whose minimum is not below bound
     cannot improve on the best, so it returns None without looking for it.
@@ -426,9 +430,11 @@ def _scan(field: FieldSpec, P: np.ndarray, T: np.ndarray, m: int, start: int, bo
     NP, flip = field.np_neg[P].T, len(P) > T.shape[1]  # the longer side runs innermost
     A, B = (T[:, :, None], NP[:, None]) if flip else (NP[:, :, None], T[:, None])
     dims = (T.shape[1], len(P)) if flip else (len(P), T.shape[1])
-    W = np.full(dims, start, dtype=np.uint8 if start + len(T) < 256 else np.uint16)
-    for c in range(len(T)):
-        W += A[c] != B[c]
+    dtype = np.uint8 if start + len(T) < 256 else np.uint16
+    W = np.full(dims, start, dtype=dtype)
+    slab = max(1, 16 * _BLOCK // W.size)  # columns per compare: at most 16 * _BLOCK bools
+    for c in range(0, len(T), slab):
+        W += (A[c : c + slab] != B[c : c + slab]).view(np.uint8).sum(axis=0, dtype=dtype)
     if int(W.min()) >= bound:
         return None
     shape, axes = ((-1, m, len(P)), (0, 2, 1)) if flip else ((len(P), -1, m), (1, 0, 2))
@@ -474,15 +480,19 @@ def _min_distance_infoset(C: LinearCode, budget: int) -> DistanceCertificate:
     s = min(w, 2) rows (s = 1 when the pairs of rows with all their values
     would exceed _BLOCK columns).  One table per call holds every s-row tail
     with every nonzero value tuple; the tails of a head ending at row h are
-    the s-subsets of h+1..k-1, a contiguous suffix of that table, so each
-    head's codewords are built once per batch and compared with a slice."""
+    the s-subsets of h+1..k-1, a contiguous suffix of that table, compared
+    in batches that are slices of it.  When a head's m^(w-s) codewords fit
+    one batch they are built once, as the codewords S of the head less its
+    last row (kept while consecutive heads share it) plus each multiple of
+    that row, and meet every batch; a longer head is built chunk by chunk
+    for each batch, so no table exceeds about 2 * _BLOCK codewords."""
     field, G, k = C.field, C.gen, C.k
     ADD, MUL, _, _ = _tables(field)
     m, nz = field.q - 1, np.arange(1, field.q)
     R = G[:, [c for c in range(C.n) if c not in C.pivots]]
     V = MUL[nz][:, R].transpose(1, 0, 2)  # V[i, j] = nz[j] * R[i]
     s_max = 1 if comb(k, 2) * m * m > _BLOCK else 2
-    best, work, completed = None, 0, 0
+    best, work, completed, prefix = None, 0, 0, None
     for w in range(1, k + 1):
         if w <= s_max:  # s = min(w, s_max) grows
             s = w
@@ -498,15 +508,20 @@ def _min_distance_infoset(C: LinearCode, budget: int) -> DistanceCertificate:
         pb = min(n_head, _BLOCK // g)  # head codewords per batch
         step = max(1, _BLOCK // (pb * g))  # tails per batch
         # supports that share their head are consecutive in combinations order;
-        # meshgrid order over the head is little-endian over the reversed head
+        # a head's codewords are little-endian over the reversed head
         for head in combinations(range(k), w - s):
             rows = list(head[::-1])
             t0 = suffix[head[-1] + 1 if head else 0]
             fit = min(len(tails) - t0, max(0, (budget - work) // n_vals))
+            if fit and pb == n_head:  # one chunk: built once, from the head less its last row
+                if head[:-1] != prefix:  # consecutive heads share it
+                    prefix, S = head[:-1], _codewords(field, R[rows[1:]], nz, 0, n_head // m or 1)
+                P = ADD[S[:, None], V[head[-1]][None]].reshape(n_head, -1) if head else S
             for l0 in range(t0, t0 + fit, step):
                 U = T[:, l0 * g : min(l0 + step, t0 + fit) * g]
                 for p0 in range(0, n_head, pb):
-                    P = _codewords(field, R[rows], nz, p0, min(p0 + pb, n_head))
+                    if pb < n_head:
+                        P = _codewords(field, R[rows], nz, p0, min(p0 + pb, n_head))
                     hit = _scan(field, P, U, g, w, best[0] if best else C.n + 1)
                     if hit:
                         d, r, c = hit

@@ -175,13 +175,26 @@ def _mask_element(ctx: AlgebraCtx, prims: Sequence[Poly], mask: int) -> AlgElem:
     return ctx.from_indices(e.indices)
 
 
+def _mask_elements(ctx: AlgebraCtx, prims: Sequence[Poly]) -> Iterator[AlgElem]:
+    """_mask_element of every mask in ascending order, each formed as the
+    element of mask & (mask - 1) plus the idempotent of its lowest bit t:
+    one addition per mask.  high[t] holds the element of the current
+    mask's bits above t, the only earlier ones a later mask still reads."""
+    high = [Poly.zero(ctx.field)] * len(prims)
+    yield ctx.from_indices(())
+    for mask in range(1, 1 << len(prims)):
+        t = (mask & -mask).bit_length() - 1
+        e = high[t] + prims[t]
+        high[:t] = [e] * t
+        yield ctx.from_indices(e.indices)
+
+
 def iter_ideal_codes(ctx: AlgebraCtx, seed: int = 0) -> Iterator[tuple[int, AlgElem, LinearCode]]:
     """All 2^r ideals in ascending subset-mask order, as
     (mask, idempotent, code) triples; bit i of the mask selects the i-th
     primitive idempotent in the canonical factor order."""
     _, prims = _lattice(ctx, seed)
-    for mask in range(1 << len(prims)):
-        e = _mask_element(ctx, prims, mask)
+    for mask, e in enumerate(_mask_elements(ctx, prims)):
         yield mask, e, ideal_from_element(e)
 
 
@@ -501,7 +514,7 @@ def verify_reference_examples(
             rep.add(f"{label} Euclidean LCD (both criteria)", sub and idem)
         rep.add("dual<e> = <f>", dual(Ce, 0) == Cf)
         _, prims = _lattice(ctx, seed)
-        found = [_mask_element(ctx, prims, mask) for mask in range(1 << len(prims))]
+        found = list(_mask_elements(ctx, prims))
         rep.add(
             "enumeration rediscovers e and f",
             e in found and f in found,

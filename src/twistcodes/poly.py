@@ -145,31 +145,39 @@ class Poly:
         row = self.field._mul[c]
         return Poly.from_indices(self.field, [row[x] for x in self.indices])
 
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+    def _reduce(self, other: "Poly", quotient: bool = False) -> tuple[list[int], "Poly"]:
+        """(quotient indices, remainder) of self by other; the quotient is
+        formed only when asked for, and is [] otherwise."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         F, a, db = self.field, self.indices, other.degree
         if len(a) <= db:
-            return Poly.zero(F), self
+            return [], self
         ADD, MUL, NEG = F._add, F._mul, F._neg
         inv_lead = F._inv[other.indices[-1]]
         nb = [NEG[y] for y in other.indices[:db]]  # the divisor below its lead, negated
         r = list(a)
-        q = [0] * (len(a) - db)
+        q = [0] * (len(a) - db) if quotient else []
         for s in range(len(a) - 1 - db, -1, -1):
             c = r[s + db]
             if c:
-                c = q[s] = MUL[c][inv_lead]
+                c = MUL[c][inv_lead]
+                if quotient:
+                    q[s] = c
                 row = MUL[c]
                 r[s : s + db] = [ADD[x][row[y]] for x, y in zip(r[s : s + db], nb)]
-        return Poly.from_indices(F, q), Poly.from_indices(F, r[:db])
+        return q, Poly.from_indices(F, r[:db])
+
+    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        q, r = self._reduce(other, quotient=True)
+        return Poly.from_indices(self.field, q), r
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        return self._reduce(other)[1]
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic:

@@ -188,6 +188,19 @@ def test_distance_witnesses_frozen_at_length_21(capsys):
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == DISTANCE_Q5_N21_SHA256
 
 
+SEARCH_Q3_N26_SHA256 = "2548a216f8238daf675b19d8da4e3c2a134c8230737da49352efec8d5f304e8e"
+
+
+def test_search_frozen_at_length_26(capsys):
+    """Every ideal of x^26 - 1 over GF(3): distances by both methods, each
+    certificate with its witness, pinned byte for byte by the digest."""
+    rc, out = run(capsys, ["search", "-q", "3", "-n", "26", "--lam", "1", "--format", "json"])
+    assert rc == 0
+    methods = {rec["certificate"]["method"] for rec in json_lines(out)[1:] if rec["k"]}
+    assert methods == {"exhaustive", "info-set"}
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_Q3_N26_SHA256
+
+
 @pytest.mark.parametrize(
     "block, groups, batch",
     [

@@ -16,11 +16,12 @@ import tracemalloc
 from itertools import combinations, product
 from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from twistcodes import codes  # noqa: E402
@@ -227,3 +228,114 @@ def test_infoset_budget_bounds_memory():
     G = [[int(i) for i in row] for row in C.gen]
     assert got == reference_infoset(F, G, budget) == ("budget", 2, got[2], k * 16 + 20 * 16**2)
     assert peak < 8 * 2**20
+
+
+def _scan_by_column(field, P, T, m, start, bound):
+    """The compare kernel one compared column at a time: the weight of
+    P[i] + T[:, j] is start plus the count of columns c with
+    T[c, j] != -P[i, c]."""
+    NP = field.np_neg[P]
+    W = np.full((len(P), T.shape[1]), start)  # W[i, j], in int64
+    for c in range(len(T)):
+        W += T[c][None, :] != NP[:, c][:, None]
+    if W.min() >= bound:
+        return None
+    best = None
+    for g0 in range(0, T.shape[1], m):  # by group, then row of P, then within the group
+        for r in range(len(P)):
+            for c in range(g0, g0 + m):
+                first_zero = W[r, c] == 0 and (g0, r, c) == (0, 0, 0)  # message 0
+                if not first_zero and (best is None or W[r, c] < best[0]):
+                    best = int(W[r, c]), r, c
+    return best
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    q=st.sampled_from(QS),
+    n_rows=st.integers(1, 40),
+    groups=st.integers(1, 12),
+    m=st.integers(1, 6),
+    columns=st.sampled_from((0, 1, 7, 33, 300)),
+    start=st.sampled_from((0, 1, 5, 250)),
+    block=st.sampled_from((1, 16, 1 << 15)),
+    bound=st.sampled_from((0, 4, 40, 1000)),
+    seed=st.integers(0, 2**32),
+)
+def test_scan_matches_column_loop(q, n_rows, groups, m, columns, start, block, bound, seed):
+    """_scan against a column-by-column count: both orientations (more rows
+    of P than columns of T and fewer), the uint16 weights of start +
+    columns >= 256, slabs of one column and of all, and the None of a batch
+    that cannot beat the bound."""
+    assume(columns or start)  # else every weight is 0: no codeword but message 0
+    F, rng = GF(q), random.Random(seed)
+    P = np.array([[rng.randrange(q) for _ in range(columns)] for _ in range(n_rows)], np.uint8)
+    T = np.array([[rng.randrange(q) for _ in range(groups * m)] for _ in range(columns)], np.uint8)
+    T = T.reshape(columns, groups * m)
+    with mock.patch.object(codes, "_BLOCK", block):
+        got = codes._scan(F, P, T, m, start, bound)
+    assert got == _scan_by_column(F, P, T, m, start, bound)
+
+
+def test_infoset_compare_temporary_bounded():
+    """A budget-stopped search over 260 redundancy columns reaches weight 3,
+    where a batch holds 256 head codewords by 128 tail columns: compared
+    all at once, its 260 columns would need an 8.5 MB temporary."""
+    F, k, n = GF(17), 40, 300
+    rng = random.Random(300)
+    rows = [
+        [F.one if i == j else F.zero for j in range(k)]
+        + [F.from_index(rng.randrange(17)) for _ in range(n - k)]
+        for i in range(k)
+    ]
+    C = LinearCode.from_vectors(F, n, rows)
+    budget = k * 16 + (k * (k - 1) // 2) * 16**2 + (k - 2) * 16**3  # the head (0, 1) of weight 3
+    shapes, scan = set(), codes._scan
+
+    def spy(field, P, T, m, start, bound):
+        shapes.add((start, len(P), T.shape[1]))
+        return scan(field, P, T, m, start, bound)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(codes, "_scan", spy):
+            got = _run(C, budget, "info-set")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0] == "budget" and got[1:2] == (3,) and got[3] == budget
+    assert (3, 256, 8 * 16) in shapes and (n - k) * 256 * 8 * 16 > 8 * 2**20
+    assert peak < 8 * 2**20
+
+
+def test_head_codewords_built_once_per_head():
+    """At _BLOCK = 64 over GF(5) the tails are single rows (C(8, 2) * 4^2 >
+    64).  Weight-2 and weight-3 heads fit one chunk, built once and compared
+    with several tail batches; weight-4 heads span four chunks, built chunk
+    by chunk for each tail.  The results equal the reference enumeration's."""
+    F = GF(5)
+    rng = random.Random(5)
+    rand = [[F.from_index(rng.randrange(5)) for _ in range(8)] for _ in range(8)]
+    C = LinearCode.from_vectors(
+        F, 16, [[F.one if i == j else F.zero for j in range(8)] + rand[i] for i in range(8)]
+    )
+    G = [[int(i) for i in row] for row in C.gen]
+    scans, scan = [], codes._scan
+
+    def spy(field, P, T, m, start, bound):
+        scans.append((start, P, T))
+        return scan(field, P, T, m, start, bound)
+
+    with mock.patch.object(codes, "_BLOCK", 64), mock.patch.object(codes, "_scan", spy):
+        got = _run(C, codes.DEFAULT_BUDGET, "info-set")
+    assert got == reference_infoset(F, G, codes.DEFAULT_BUDGET)
+    assert got[3] >= 4
+    # weights 2 and 3: 7 and C(7, 2) heads with tails, each built once
+    for w, heads in ((2, 7), (3, 21)):
+        batches = [P for start, P, _ in scans if start == w]
+        assert {len(P) for P in batches} == {4 ** (w - 1)}
+        assert len({id(P) for P in batches}) == heads < len(batches)
+    # weight 4: 64 head codewords in chunks of 16, all four meeting each tail
+    chunks = [(P, T) for start, P, T in scans if start == 4]
+    assert {len(P) for P, _ in chunks} == {16} and len(chunks) % 4 == 0
+    assert all(len({id(T) for _, T in chunks[i : i + 4]}) == 1 for i in range(0, len(chunks), 4))

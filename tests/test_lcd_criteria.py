@@ -13,7 +13,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from twistcodes.codes import check_idempotent_lcd, ideal_from_element, is_lcd  # noqa: E402
-from twistcodes.discover import _is_union, _mask_element, factor_orbits, search_lcd  # noqa: E402
+from twistcodes.discover import (  # noqa: E402
+    _is_union,
+    _mask_element,
+    _mask_elements,
+    factor_orbits,
+    search_lcd,
+)
 from twistcodes.gf import GF  # noqa: E402
 from twistcodes.poly import factor_xn_minus_lambda, primitive_idempotents  # noqa: E402
 from twistcodes.talg import AlgebraCtx  # noqa: E402
@@ -48,3 +54,13 @@ def test_lcd_criteria_agree(q, data):
     if ctx.lam * ctx.lam == F.one:
         assert check_idempotent_lcd(e, k) == flag
     assert (mask in {r.subset_mask for r in search_lcd(ctx, k, distances=False)}) == flag
+
+
+@pytest.mark.parametrize("q, n, lam_index", [(2, 21, 1), (3, 10, 2), (4, 15, 1), (5, 24, 1), (7, 1, 3)])
+def test_mask_walk_matches_mask_sums(q, n, lam_index):
+    """Each element of the ascending walk, formed from the element of
+    mask & (mask - 1), is the sum of the idempotents its mask selects."""
+    ctx, _, prims = _context(q, n, lam_index)
+    walk = list(_mask_elements(ctx, prims))
+    assert len(walk) == 1 << len(prims) >= 2
+    assert walk == [_mask_element(ctx, prims, mask) for mask in range(1 << len(prims))]

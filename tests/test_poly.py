@@ -62,6 +62,7 @@ def test_divmod_random_roundtrip():
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.degree < b.degree
+            assert a % b == r and a // b == q
 
 
 def test_xgcd_bezout():
