@@ -8,10 +8,10 @@ intersection, the idempotent criterion (when lam^2 = 1), and the orbits
 of Frobenius o reciprocal on the factors (when lam^(1 + p^(m-k)) = 1;
 otherwise every ideal is LCD).  `iter_ideal_codes` yields every ideal
 with its code; `search_lcd` decides by the orbits, visits only the LCD
-masks, and checks each record by one of the other two.  Records carry
-the code parameters, the LCD flags, and a comparison against a
-best-known-codes table.  A built-in verifier replays four bundled
-reference examples of good LCD codes end to end.
+masks, and checks each record by one of the other two; both walk the
+lattice with `_mask_elements`.  Records carry the code parameters, the
+LCD flags, and a best-known comparison.  A built-in verifier replays
+four bundled reference examples of good LCD codes end to end.
 """
 
 from __future__ import annotations
@@ -115,6 +115,8 @@ class BestKnownTable:
                 text = fh.read()
         except FileNotFoundError:
             raise TableMissing(f"best-known table not found: {path}")
+        except OSError as exc:
+            raise TableMissing(f"best-known table unreadable: {path}: {exc.strerror or exc}")
         return cls._parse(text, str(path))
 
     @classmethod
@@ -168,25 +170,32 @@ def _verdict(d: Optional[int], best: Optional[int]) -> Verdict:
 
 def _mask_element(ctx: AlgebraCtx, prims: Sequence[Poly], mask: int) -> AlgElem:
     """The sum of the primitive idempotents whose bits the mask sets."""
-    e = Poly.zero(ctx.field)
-    for i, p in enumerate(prims):
-        if mask >> i & 1:
-            e = e + p
+    e = sum((p for i, p in enumerate(prims) if mask >> i & 1), Poly.zero(ctx.field))
     return ctx.from_indices(e.indices)
 
 
-def _mask_elements(ctx: AlgebraCtx, prims: Sequence[Poly]) -> Iterator[AlgElem]:
-    """_mask_element of every mask in ascending order, each formed as the
-    element of mask & (mask - 1) plus the idempotent of its lowest bit t:
-    one addition per mask.  high[t] holds the element of the current
-    mask's bits above t, the only earlier ones a later mask still reads."""
-    high = [Poly.zero(ctx.field)] * len(prims)
-    yield ctx.from_indices(())
-    for mask in range(1, 1 << len(prims)):
-        t = (mask & -mask).bit_length() - 1
-        e = high[t] + prims[t]
-        high[:t] = [e] * t
-        yield ctx.from_indices(e.indices)
+def _mask_elements(
+    ctx: AlgebraCtx, prims: Sequence[Poly], parts: Optional[Sequence[int]] = None
+) -> Iterator[tuple[int, AlgElem]]:
+    """(mask, _mask_element of the mask) for every union of the parts, in
+    ascending mask order.  The parts are disjoint masks ordered by their
+    highest bit (as factor_orbits returns them), by default one per
+    idempotent.  Each part's sum is formed once and each union as the union
+    less its lowest part t plus the sum of part t: one addition per union.
+    high[t] holds the union of the current union's parts above t, the only
+    earlier union a later one still reads."""
+    if parts is None:
+        parts = [1 << i for i in range(len(prims))]
+    sums = [_mask_element(ctx, prims, part) for part in parts]
+    zero = 0, ctx.from_indices(())
+    high = [zero] * len(parts)
+    yield zero
+    for b in range(1, 1 << len(parts)):
+        t = (b & -b).bit_length() - 1
+        mask, e = high[t]
+        union = mask | parts[t], e + sums[t]
+        high[:t] = [union] * t
+        yield union
 
 
 def iter_ideal_codes(ctx: AlgebraCtx, seed: int = 0) -> Iterator[tuple[int, AlgElem, LinearCode]]:
@@ -194,7 +203,7 @@ def iter_ideal_codes(ctx: AlgebraCtx, seed: int = 0) -> Iterator[tuple[int, AlgE
     (mask, idempotent, code) triples; bit i of the mask selects the i-th
     primitive idempotent in the canonical factor order."""
     _, prims = _lattice(ctx, seed)
-    for mask, e in enumerate(_mask_elements(ctx, prims)):
+    for mask, e in _mask_elements(ctx, prims):
         yield mask, e, ideal_from_element(e)
 
 
@@ -247,13 +256,6 @@ def factor_orbits(ctx: AlgebraCtx, factors: Sequence[Poly], k: int) -> Optional[
 
 def _is_union(mask: int, orbits: Sequence[int]) -> bool:
     return all(mask & o in (0, o) for o in orbits)
-
-
-def _unions(orbits: Sequence[int]) -> Iterator[int]:
-    """Every union of the orbits in ascending order: with the orbits
-    ordered by highest bit, the union grows with the subset index."""
-    for b in range(1 << len(orbits)):
-        yield sum(o for i, o in enumerate(orbits) if b >> i & 1)
 
 
 def _agree(ctx: AlgebraCtx, mask: int, k: int, flag: bool, other: bool, what: str):
@@ -326,13 +328,11 @@ def search_lcd(
     factors, prims = _lattice(ctx, seed)
     orbits = factor_orbits(ctx, factors, k)
     euclid = orbits if k == 0 else factor_orbits(ctx, factors, 0)
-    degrees = [f.degree for f in factors]
     records = []
-    for mask in range(1 << len(factors)) if orbits is None else _unions(orbits):
-        dim = sum(d for i, d in enumerate(degrees) if mask >> i & 1)
+    for mask, e in _mask_elements(ctx, prims, orbits):
+        dim = sum(f.degree for i, f in enumerate(factors) if mask >> i & 1)
         if dim < min_dim:
             continue
-        e = _mask_element(ctx, prims, mask)
         flags = {0: euclid is None or _is_union(mask, euclid), k: True}
         C = None
         if ctx.has_involution:
@@ -514,7 +514,7 @@ def verify_reference_examples(
             rep.add(f"{label} Euclidean LCD (both criteria)", sub and idem)
         rep.add("dual<e> = <f>", dual(Ce, 0) == Cf)
         _, prims = _lattice(ctx, seed)
-        found = list(_mask_elements(ctx, prims))
+        found = [elem for _, elem in _mask_elements(ctx, prims)]
         rep.add(
             "enumeration rediscovers e and f",
             e in found and f in found,

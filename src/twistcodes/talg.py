@@ -144,20 +144,20 @@ class AlgElem:
     def __add__(self, other):
         self._check(other)
         ADD = self.ctx.field._add
-        return AlgElem(self.ctx, tuple(ADD[x][y] for x, y in zip(self.indices, other.indices)))
+        return AlgElem(self.ctx, tuple([ADD[x][y] for x, y in zip(self.indices, other.indices)]))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         NEG = self.ctx.field._neg
-        return AlgElem(self.ctx, tuple(NEG[x] for x in self.indices))
+        return AlgElem(self.ctx, tuple([NEG[x] for x in self.indices]))
 
     def __mul__(self, other):
         if isinstance(other, FieldElem):
             F = self.ctx.field
             row = F._mul[F.element(other).index]
-            return AlgElem(self.ctx, tuple(row[x] for x in self.indices))
+            return AlgElem(self.ctx, tuple([row[x] for x in self.indices]))
         self._check(other)
         return elem_mul(self, other)
 

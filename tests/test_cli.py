@@ -489,6 +489,8 @@ def test_malformed_input_exit_2():
                      "no reference example matches 'nosuch'", id="verify-no-match"),
         pytest.param(["search", "-q", "3", "-n", "10", "--lam", "2", "--table", "/nonexistent.csv"],
                      "best-known table not found: /nonexistent.csv", id="search-table-missing"),
+        pytest.param(["search", "-q", "3", "-n", "4", "--lam", "1", "--no-distances", "--table", "/"],
+                     "best-known table unreadable: /: Is a directory", id="search-table-directory"),
         pytest.param(["dual", "-q", "9", "-n", "8", "--lam", "2", "--mask", "1", "--galois", "5"],
                      "Galois parameter k = 5 outside 0..1", id="dual-galois-range"),
     ],

@@ -126,6 +126,19 @@ def test_search_sorted_and_filtered():
     assert masks.isdisjoint(non_lcd)
 
 
+@pytest.mark.parametrize(
+    "ctx, k",
+    [(CTX1, 0), (AlgebraCtx(F5, 6, 2), 0), (AlgebraCtx(GF(4), 11, GF(4).from_index(2)), 1)],
+    ids=["lam2-is-1", "lam2-not-1-all-lcd", "lam2-not-1-orbits"],
+)
+def test_min_dim_keeps_exactly_the_larger_records(ctx, k):
+    # min_dim only filters: the same records in the same order, the smaller ones dropped
+    recs = search_lcd(ctx, k, distances=False)
+    assert len({r.k for r in recs}) >= 3
+    for d in range(ctx.n + 2):
+        assert search_lcd(ctx, k, distances=False, min_dim=d) == [r for r in recs if r.k >= d]
+
+
 def test_factor_limit():
     # x^28 - 1 splits into 28 linear factors over GF(29)
     ctx = AlgebraCtx(GF(29), 28, 1)

@@ -58,9 +58,15 @@ def test_lcd_criteria_agree(q, data):
 
 @pytest.mark.parametrize("q, n, lam_index", [(2, 21, 1), (3, 10, 2), (4, 15, 1), (5, 24, 1), (7, 1, 3)])
 def test_mask_walk_matches_mask_sums(q, n, lam_index):
-    """Each element of the ascending walk, formed from the element of
-    mask & (mask - 1), is the sum of the idempotents its mask selects."""
-    ctx, _, prims = _context(q, n, lam_index)
-    walk = list(_mask_elements(ctx, prims))
-    assert len(walk) == 1 << len(prims) >= 2
-    assert walk == [_mask_element(ctx, prims, mask) for mask in range(1 << len(prims))]
+    """The walk over one part per idempotent, and over the factor orbits of
+    every k where they decide, yields the unions of the parts in ascending
+    order, each element the sum of the idempotents its mask selects."""
+    ctx, factors, prims = _context(q, n, lam_index)
+    everything = range(1 << len(prims))
+    orbit_lists = [factor_orbits(ctx, factors, k) for k in range(ctx.field.m)]
+    for parts in [None] + [o for o in orbit_lists if o is not None]:
+        walk = list(_mask_elements(ctx, prims, parts))
+        masks = [m for m in everything if parts is None or _is_union(m, parts)]
+        assert len(walk) >= 2
+        assert [mask for mask, _ in walk] == masks
+        assert [e for _, e in walk] == [_mask_element(ctx, prims, m) for m in masks]
