@@ -144,7 +144,7 @@ def subject(args, out: Emitter, **extra) -> tuple[AlgebraCtx, AlgElem, LinearCod
         g = Poly(F, parse_elem_seq(F, args.genpoly)) % Poly.xn_minus(F, ctx.n, ctx.lam)
         e = ctx.from_indices(g.indices)
     else:
-        factors = factor_xn_minus_lambda(F, ctx.n, ctx.lam, seed=args.seed)
+        factors = factor_xn_minus_lambda(F, ctx.n, ctx.lam)
         if not 0 <= args.mask < (1 << len(factors)):
             raise Error(f"mask {args.mask} out of range for {len(factors)} factors")
         e = _mask_element(ctx, primitive_idempotents(F, ctx.n, ctx.lam, factors), args.mask)
@@ -162,7 +162,7 @@ def fmt_rows(code: LinearCode) -> str:
 
 def cmd_factor(args, out: Emitter) -> int:
     ctx = ctx_header(args, out)
-    for i, f in enumerate(factor_xn_minus_lambda(ctx.field, ctx.n, ctx.lam, seed=args.seed)):
+    for i, f in enumerate(factor_xn_minus_lambda(ctx.field, ctx.n, ctx.lam)):
         out.record(
             {"record": "factor", "index": i, "degree": f.degree},
             lambda: f"factor {i}: {f}",
@@ -173,7 +173,7 @@ def cmd_factor(args, out: Emitter) -> int:
 
 def cmd_idempotents(args, out: Emitter) -> int:
     ctx = ctx_header(args, out)
-    factors = factor_xn_minus_lambda(ctx.field, ctx.n, ctx.lam, seed=args.seed)
+    factors = factor_xn_minus_lambda(ctx.field, ctx.n, ctx.lam)
     for i, p in enumerate(primitive_idempotents(ctx.field, ctx.n, ctx.lam, factors)):
         e = ctx.from_indices(p.indices)
         out.record(
@@ -292,7 +292,6 @@ def cmd_search(args, out: Emitter) -> int:
         distances=not args.no_distances,
         budget=args.budget,
         table=load_table(args),
-        seed=args.seed,
         min_dim=args.min_dim,
     )
     uncertified = 0
@@ -314,7 +313,7 @@ def cmd_search(args, out: Emitter) -> int:
 def cmd_verify_examples(args, out: Emitter) -> int:
     out.header(budget=args.budget)
     names = args.example if args.example else None
-    report = verify_reference_examples(names=names, budget=args.budget, seed=args.seed)
+    report = verify_reference_examples(names=names, budget=args.budget)
     for ex in report.examples:
         for c in ex.checks:
             out.record(
@@ -345,7 +344,7 @@ def cmd_verify_examples(args, out: Emitter) -> int:
 def _add_field_opts(p: argparse.ArgumentParser):
     p.add_argument("-q", type=int, required=True, help="field order (prime power)")
     p.add_argument("--modulus", help="comma-separated modulus coefficients, low degree first")
-    p.add_argument("--seed", type=int, default=0, help="seed for modulus search and factorization")
+    p.add_argument("--seed", type=int, default=0, help="picks GF(p^m)'s modulus if no --modulus")
     p.add_argument("--format", choices=("table", "json"), default="table")
 
 
@@ -435,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_search)
 
     p = sub.add_parser("verify-examples", help="re-derive the bundled reference examples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="only echoed: every example is over GF(p)")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.add_argument(

@@ -111,12 +111,16 @@ class BestKnownTable:
     @classmethod
     def load(cls, path) -> "BestKnownTable":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             raise TableMissing(f"best-known table not found: {path}")
         except OSError as exc:
             raise TableMissing(f"best-known table unreadable: {path}: {exc.strerror or exc}")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # decoded whole, so the offset is the file's
+            raise TableParseError(f"{path}: not UTF-8 at byte {exc.start}")
         return cls._parse(text, str(path))
 
     @classmethod
@@ -198,20 +202,20 @@ def _mask_elements(
         yield union
 
 
-def iter_ideal_codes(ctx: AlgebraCtx, seed: int = 0) -> Iterator[tuple[int, AlgElem, LinearCode]]:
+def iter_ideal_codes(ctx: AlgebraCtx) -> Iterator[tuple[int, AlgElem, LinearCode]]:
     """All 2^r ideals in ascending subset-mask order, as
     (mask, idempotent, code) triples; bit i of the mask selects the i-th
     primitive idempotent in the canonical factor order."""
-    _, prims = _lattice(ctx, seed)
+    _, prims = _lattice(ctx)
     for mask, e in _mask_elements(ctx, prims):
         yield mask, e, ideal_from_element(e)
 
 
-def _lattice(ctx: AlgebraCtx, seed: int) -> tuple[list[Poly], list[Poly]]:
+def _lattice(ctx: AlgebraCtx) -> tuple[list[Poly], list[Poly]]:
     """The canonical factors of x^n - lam and their primitive idempotents,
     from one factorization; more than MAX_FACTORS factors raise before
     the idempotents are formed."""
-    factors = factor_xn_minus_lambda(ctx.field, ctx.n, ctx.lam, seed=seed)
+    factors = factor_xn_minus_lambda(ctx.field, ctx.n, ctx.lam)
     if len(factors) > MAX_FACTORS:
         raise TooManyFactors(f"{len(factors)} irreducible factors exceed the limit {MAX_FACTORS}")
     return factors, primitive_idempotents(ctx.field, ctx.n, ctx.lam, factors)
@@ -311,7 +315,6 @@ def search_lcd(
     distances: bool = True,
     budget: int = DEFAULT_BUDGET,
     table: Optional[BestKnownTable] = None,
-    seed: int = 0,
     min_dim: int = 0,
 ) -> list[CodeRecord]:
     """All k-Galois LCD ideals of the context, sorted by dimension then
@@ -325,7 +328,7 @@ def search_lcd(
     lam^(1 + p^(m-k)) != 1 every ideal is LCD by the theorem.  A code is
     built only for that check and for the minimum distance.
     """
-    factors, prims = _lattice(ctx, seed)
+    factors, prims = _lattice(ctx)
     orbits = factor_orbits(ctx, factors, k)
     euclid = orbits if k == 0 else factor_orbits(ctx, factors, 0)
     records = []
@@ -461,17 +464,14 @@ def make_reference_ctx(ex: ReferenceExample):
 def verify_reference_examples(
     names: Optional[Sequence[str]] = None,
     budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
 ) -> VerifyReport:
     """Re-derive every claim of the bundled reference examples.
 
     For each example: the stated e is idempotent, f is its complement,
     both are fixed by the involution, the generated codes have the stated
     dimensions and distances and are Euclidean LCD under both criteria,
-    and lattice enumeration rediscovers the identical idempotents.  The
-    seed drives the factorization behind that enumeration; the canonical
-    factor order keeps the report independent of it.  A name that
-    matches no example raises Error.
+    and lattice enumeration rediscovers the identical idempotents.  A name
+    that matches no example raises Error.
     """
     unmatched = [s for s in names or () if not any(s in ex.name for ex in REFERENCE_EXAMPLES)]
     if unmatched:
@@ -513,7 +513,7 @@ def verify_reference_examples(
             idem = check_idempotent_lcd(elem, 0)
             rep.add(f"{label} Euclidean LCD (both criteria)", sub and idem)
         rep.add("dual<e> = <f>", dual(Ce, 0) == Cf)
-        _, prims = _lattice(ctx, seed)
+        _, prims = _lattice(ctx)
         found = [elem for _, elem in _mask_elements(ctx, prims)]
         rep.add(
             "enumeration rediscovers e and f",

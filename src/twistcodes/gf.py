@@ -216,7 +216,7 @@ class FieldSpec:
 
     When no modulus is supplied and m > 1, one is found by a seeded random
     search; the chosen modulus is stored on the field (and serialized)
-    so runs are reproducible.
+    so runs are reproducible.  A prime field's modulus is x.
     """
 
     def __init__(
@@ -235,12 +235,7 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.q = p**m
-        if modulus is None:
-            if m == 1:
-                self.modulus = (0, 1)  # implicit: elements are residues mod p
-            else:
-                self.modulus = _find_irreducible(p, m, seed)
-        else:
+        if modulus is not None:
             mod = [c % p for c in modulus]
             if len(mod) != m + 1 or mod[-1] != 1:
                 raise DegreeMismatch(
@@ -248,7 +243,10 @@ class FieldSpec:
                 )
             if m > 1 and not _is_irreducible(p, mod):
                 raise ReducibleModulus(f"modulus {mod} is reducible over GF({p})")
-            self.modulus = tuple(mod)
+        if m == 1:
+            self.modulus = (0, 1)  # elements are residues mod p, whatever x + c was given
+        else:
+            self.modulus = _find_irreducible(p, m, seed) if modulus is None else tuple(mod)
 
         self._reduction = self._reduction_rows() if m > 1 else None
         self.np_add = self.np_mul = self.np_neg = self.np_inv = self.np_frob = None

@@ -9,10 +9,10 @@ whose p-th power map permutes the monomials, each scaled by a power of
 lam.  Distinct-degree factorization raises to the q-th power by it; on
 fields with a log table (q <= 256) the linear part splits into x - a for
 the n-th roots a of lam, read from that table, and every other part by
-Cantor-Zassenhaus splitting with a seeded RNG, by the absolute trace in
-every characteristic, summed in A by the same map.  The factor list is
-sorted by (degree, coefficient indices), so it is unique whatever the
-seed and every downstream enumeration order is reproducible.
+Cantor-Zassenhaus splitting, by the absolute trace in every
+characteristic, summed in A by the same map.  The factor list is sorted
+by (degree, coefficient indices), so every downstream enumeration order
+is reproducible.
 `primitive_idempotents` takes that list from its caller, so one
 factorization serves both; the cofactors h_i = (x^n - lam)/f_i come
 from their recurrence, and CRT inverses from the derivative:
@@ -325,18 +325,15 @@ def _edf(f: Poly, d: int, rng: random.Random, power) -> list[Poly]:
     return _edf(g, d, rng, power) + _edf(f // g, d, rng, power)
 
 
-def factor_xn_minus_lambda(
-    field: FieldSpec, n: int, lam: FieldElem, seed: int = 0
-) -> list[Poly]:
+def factor_xn_minus_lambda(field: FieldSpec, n: int, lam: FieldElem) -> list[Poly]:
     """The distinct monic irreducible factors of x^n - lam, sorted by
     (degree, coefficient order).
 
     Requires gcd(n, p) = 1 so the polynomial is squarefree.  On fields
     with tables (q <= 256) the linear factors are x - a for the roots a
-    that `FieldSpec.nth_roots` reads from the log table, and the CZ
-    splitting RNG, seeded deterministically from (seed, field, n, lam),
-    acts only on the parts of degree >= 2; above q = 256 it splits every
-    part.  The sorted list is the same whatever the seed.
+    that `FieldSpec.nth_roots` reads from the log table, and CZ splitting,
+    with random draws fixed by (field, n, lam), acts only on the parts of
+    degree >= 2; above q = 256 it splits every part.
     """
     if lam.is_zero():
         raise ZeroLambda("lambda must be a nonzero field element")
@@ -347,9 +344,7 @@ def factor_xn_minus_lambda(
             f"x^{n} - lambda is not squarefree over GF({field.q}): p = {field.p} divides n"
         )
     f = Poly.xn_minus(field, n, lam)
-    rng = random.Random(
-        (seed * 0x9E3779B1) ^ (field.q << 24) ^ (n << 12) ^ lam.index
-    )
+    rng = random.Random((field.q << 24) ^ (n << 12) ^ lam.index)
     power = _frobenius(field, n, lam)
     factors: list[Poly] = []
     for part, d in _ddf(f, lambda g, _: Poly.from_indices(field, power(g.indices, field.m))):

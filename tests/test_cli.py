@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import unittest.mock
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import twistcodes.discover
+import twistcodes.poly
 from twistcodes.cli import main
 from twistcodes.gf import GF
 from twistcodes.poly import factor_xn_minus_lambda, primitive_idempotents
@@ -387,23 +389,40 @@ def test_verify_examples_subset(capsys):
     assert "<f> distance certified" not in failed
 
 
-def test_verify_examples_seed_reaches_enumeration(capsys, monkeypatch):
+def test_seed_reaches_only_the_modulus(capsys, monkeypatch):
+    # factoring draws from an RNG fixed by (field, n, lam): a prime field, or
+    # an extension field with --modulus, gives the same draws at every seed
     seeds = []
-    original = twistcodes.discover.factor_xn_minus_lambda
 
-    def recording(field, n, lam, seed=0):
-        seeds.append(seed)
-        return original(field, n, lam, seed=seed)
+    class Recording(random.Random):
+        def __init__(self, x=None):
+            seeds.append(x)
+            super().__init__(x)
 
-    monkeypatch.setattr(twistcodes.discover, "factor_xn_minus_lambda", recording)
-    argv = ["verify-examples", "--example", "GF(3)", "--format", "json"]
-    rc, out7 = run(capsys, argv + ["--seed", "7"])
-    assert rc == 0
-    assert seeds and set(seeds) == {7}
-    rc, out0 = run(capsys, argv)
-    assert rc == 0
-    # canonical factor order: only the header's seed differs
-    assert out7.splitlines()[1:] == out0.splitlines()[1:]
+    monkeypatch.setattr(twistcodes.poly.random, "Random", Recording)
+    for argv in (
+        ["verify-examples", "--example", "GF(3)"],
+        ["idempotents", "-q", "3", "-n", "26", "--lam", "1"],  # splits parts of degree 3
+        ["search", "-q", "9", "--modulus", "1,0,1", "-n", "8", "--lam", "2", "--no-distances"],
+    ):
+        runs = []
+        for seed in ("0", "7"):
+            seeds.clear()
+            rc, out = run(capsys, argv + ["--seed", seed])
+            assert rc == 0 and seeds
+            runs.append((list(seeds), out.splitlines()))
+        (seeds0, out0), (seeds7, out7) = runs
+        assert seeds0 == seeds7
+        assert out7[0] == out0[0].replace("seed=0", "seed=7") != out0[0]
+        assert out7[1:] == out0[1:]
+
+
+def test_prime_field_ignores_its_modulus(capsys):
+    argv = ["factor", "-q", "7", "-n", "3", "--lam", "1"]
+    assert run(capsys, argv + ["--modulus", "3,1"]) == run(capsys, argv)
+    assert main(argv + ["--modulus", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: modulus must be monic of degree 1")
 
 
 def test_verify_examples_filter_matching_nothing(capsys):
@@ -595,3 +614,10 @@ def test_search_table_sources(capsys, tmp_path, monkeypatch):
         assert best_known(search) is None
     first, second = discover.BestKnownTable.bundled(), discover.BestKnownTable.bundled()
     assert first.entries == second.entries and first.entries is not second.entries
+    # a table that is not UTF-8 is an input error naming the file, by either route
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"3,10,8,2\n\xb0\n")
+    for argv in (search + ["--table", str(latin)], search):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {latin}: not UTF-8 at byte 9\n")
+        monkeypatch.setenv("TWISTCODES_TABLE", str(latin))

@@ -182,6 +182,14 @@ def test_best_known_table(tmp_path):
     assert ":2:" in str(err.value)
     with pytest.raises(TableMissing):
         BestKnownTable.load(tmp_path / "missing.csv")
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"3,10,8,2\n\xb0\n")
+    with pytest.raises(TableParseError) as err:
+        BestKnownTable.load(latin)
+    assert str(err.value) == f"{latin}: not UTF-8 at byte 9"
+    latin.write_bytes(b"# pad\n" * 2000 + b"\xb0\n")  # past a text reader's first chunk
+    with pytest.raises(TableParseError, match="not UTF-8 at byte 12000$"):
+        BestKnownTable.load(latin)
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,17 @@ def test_construction_errors():
         FieldSpec(3, 2, modulus=[1, 0, 2])  # not monic
 
 
+def test_prime_field_modulus_is_x():
+    # a given x + c is validated, then dropped: residues mod p never read it
+    given, F = FieldSpec(7, 1, (3, 1)), GF(7)
+    assert given.modulus == (0, 1)
+    assert given == F and hash(given) == hash(F)
+    assert given.one + F.one == F.element(2) == F.one + given.one
+    assert given.element(3) * F.element(5) == F.one
+    with pytest.raises(DegreeMismatch):
+        FieldSpec(7, 1, (5,))
+
+
 def test_modulus_search_deterministic():
     a = FieldSpec(3, 3, seed=7)
     b = FieldSpec(3, 3, seed=7)
