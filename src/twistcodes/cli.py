@@ -209,6 +209,7 @@ def cmd_distance(args, out: Emitter) -> int:
     try:
         cert = min_distance(C, budget=args.budget, method=args.method)
     except BudgetExceeded as exc:
+        upper = exc.upper if exc.upper is not None else "?"
         out.record(
             {
                 "record": "distance",
@@ -217,7 +218,7 @@ def cmd_distance(args, out: Emitter) -> int:
                 "upper": exc.upper,
                 "work": exc.work,
             },
-            lambda: f"budget exceeded: {exc.lower} <= d <= {exc.upper}, work {exc.work}",
+            lambda: f"budget exceeded: {exc.lower} <= d <= {upper}, work {exc.work}",
         )
         return 1
     out.record(

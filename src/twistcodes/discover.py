@@ -269,46 +269,6 @@ def _agree(ctx: AlgebraCtx, mask: int, k: int, flag: bool, other: bool, what: st
         )
 
 
-def _build_record(
-    ctx: AlgebraCtx,
-    mask: int,
-    e: AlgElem,
-    dim: int,
-    C: Optional[LinearCode],
-    flags: dict[int, bool],
-    distances: bool,
-    budget: int,
-    table: Optional[BestKnownTable],
-) -> CodeRecord:
-    """The record of <e>, of dimension dim, with the LCD flag of each
-    Galois k (0 included); C is the code when the caller built it."""
-    field = ctx.field
-    d = cert = lower = upper = None
-    if distances and dim >= 1:
-        try:
-            cert = min_distance(C if C is not None else ideal_from_element(e), budget=budget)
-            d = lower = upper = cert.d
-        except BudgetExceeded as exc:
-            lower, upper = exc.lower, exc.upper
-    best = table.lookup(field.q, ctx.n, dim) if table else None
-    return CodeRecord(
-        q=field.q,
-        n=ctx.n,
-        lam=ctx.lam,
-        subset_mask=mask,
-        idempotent=e,
-        k=dim,
-        d=d,
-        lcd_euclid=flags[0],
-        lcd_galois={k: v for k, v in flags.items() if k != 0},
-        best_known_d=best,
-        verdict=_verdict(d, best),
-        certificate=cert,
-        d_lower=lower,
-        d_upper=upper,
-    )
-
-
 def search_lcd(
     ctx: AlgebraCtx,
     k: int = 0,
@@ -326,7 +286,8 @@ def search_lcd(
     criterion when lam^2 = 1 (for k and for the Euclidean flag), and
     otherwise by subspace intersection wherever the orbits decided; where
     lam^(1 + p^(m-k)) != 1 every ideal is LCD by the theorem.  A code is
-    built only for that check and for the minimum distance.
+    built only for that check and for the minimum distance, and the
+    distance reuses the code C when the check built it.
     """
     factors, prims = _lattice(ctx)
     orbits = factor_orbits(ctx, factors, k)
@@ -346,7 +307,30 @@ def search_lcd(
             C = ideal_from_element(e)
             _agree(ctx, mask, k, True, is_lcd(C, k),
                    "subspace intersection disagrees with the factor orbits")
-        records.append(_build_record(ctx, mask, e, dim, C, flags, distances, budget, table))
+        d = cert = lower = upper = None
+        if distances and dim >= 1:
+            try:
+                cert = min_distance(C if C is not None else ideal_from_element(e), budget=budget)
+                d = lower = upper = cert.d
+            except BudgetExceeded as exc:
+                lower, upper = exc.lower, exc.upper
+        best = table.lookup(ctx.field.q, ctx.n, dim) if table else None
+        records.append(CodeRecord(
+            q=ctx.field.q,
+            n=ctx.n,
+            lam=ctx.lam,
+            subset_mask=mask,
+            idempotent=e,
+            k=dim,
+            d=d,
+            lcd_euclid=flags[0],
+            lcd_galois={j: v for j, v in flags.items() if j != 0},
+            best_known_d=best,
+            verdict=_verdict(d, best),
+            certificate=cert,
+            d_lower=lower,
+            d_upper=upper,
+        ))
     records.sort(key=lambda r: (-r.k, -(r.d if r.d is not None else -1)))
     return records
 

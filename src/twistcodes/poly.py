@@ -145,9 +145,9 @@ class Poly:
         row = self.field._mul[c]
         return Poly.from_indices(self.field, [row[x] for x in self.indices])
 
-    def _reduce(self, other: "Poly", quotient: bool = False) -> tuple[list[int], "Poly"]:
-        """(quotient indices, remainder) of self by other; the quotient is
-        formed only when asked for, and is [] otherwise."""
+    def _reduce(self, other: "Poly") -> tuple[list[int], "Poly"]:
+        """(quotient indices, remainder) of self by other, by long division;
+        `%` reads the remainder, `divmod` and `//` both."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -158,19 +158,17 @@ class Poly:
         inv_lead = F._inv[other.indices[-1]]
         nb = [NEG[y] for y in other.indices[:db]]  # the divisor below its lead, negated
         r = list(a)
-        q = [0] * (len(a) - db) if quotient else []
+        q = [0] * (len(a) - db)
         for s in range(len(a) - 1 - db, -1, -1):
             c = r[s + db]
             if c:
-                c = MUL[c][inv_lead]
-                if quotient:
-                    q[s] = c
+                c = q[s] = MUL[c][inv_lead]
                 row = MUL[c]
                 r[s : s + db] = [ADD[x][row[y]] for x, y in zip(r[s : s + db], nb)]
         return q, Poly.from_indices(F, r[:db])
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        q, r = self._reduce(other, quotient=True)
+        q, r = self._reduce(other)
         return Poly.from_indices(self.field, q), r
 
     def __floordiv__(self, other: "Poly") -> "Poly":

@@ -216,7 +216,7 @@ def involution_star(a: AlgElem) -> AlgElem:
         raise InvolutionUndefined(
             f"classical involution needs lam^2 = 1; lam = {ctx.lam} over GF({ctx.field.q})"
         )
-    row = ctx.field._mul[ctx.lam.inverse().index]
+    row = ctx.field._mul[ctx.lam.index]  # lam^2 = 1, so lam^(-1) = lam
     x = a.indices
     # position n - i takes lam^(-1) c_i: the tail reversed and scaled
     return AlgElem(ctx, (x[0],) + tuple(row[c] for c in reversed(x[1:])))

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from twistcodes.errors import TableMissing, TableParseError, TooManyFactors
+from twistcodes.errors import Error, TableMissing, TableParseError, TooManyFactors
 from twistcodes.gf import GF, FieldSpec
 from twistcodes.codes import check_idempotent_lcd, dual, is_lcd, min_distance
 from twistcodes.discover import (
@@ -15,7 +17,7 @@ from twistcodes.discover import (
     _is_union,
     _verdict,
 )
-from twistcodes.poly import factor_xn_minus_lambda
+from twistcodes.poly import Poly, factor_xn_minus_lambda
 from twistcodes.talg import AlgebraCtx
 
 F3 = GF(3)
@@ -262,3 +264,30 @@ def test_idempotents_formed_once_per_context(monkeypatch):
     rep = verify_reference_examples(names=["GF(3)", "n=9"])
     assert rep.passed
     assert calls == [(3, 10, 2), (5, 9, 4)]
+
+
+def test_search_cross_checks_fire(monkeypatch):
+    # each record's second LCD derivation must agree with the factor orbits:
+    # negating its answer makes search_lcd raise, on a lam^2 = 1 context by
+    # the idempotent criterion and on a lam^2 != 1 one by subspace intersection
+    import twistcodes.discover as discover
+
+    monkeypatch.setattr(discover, "check_idempotent_lcd", lambda e, k: not check_idempotent_lcd(e, k))
+    assert CTX1.has_involution
+    with pytest.raises(Error, match="idempotent LCD criterion disagrees with the factor orbits"):
+        search_lcd(CTX1, 0, distances=False)
+
+    monkeypatch.setattr(discover, "is_lcd", lambda C, k: not is_lcd(C, k))
+    ctx = AlgebraCtx(F9, 5, [0, 1])  # lam = x has order 4, and lam^(1 + 3) = 1
+    assert not ctx.has_involution
+    assert factor_orbits(ctx, factor_xn_minus_lambda(F9, 5, ctx.lam), 1) is not None
+    with pytest.raises(Error, match="subspace intersection disagrees with the factor orbits"):
+        search_lcd(ctx, 1, distances=False)
+
+
+def test_factor_orbits_rejects_a_non_factor():
+    factors = factor_xn_minus_lambda(F3, 10, CTX1.lam)
+    factors[0] = Poly.from_indices(F3, (2, 1, 1))  # x^2 + x + 2, whose image is x^2 + 2x + 2
+    message = "maps the factor x^2 + x + 2 to x^2 + 2x + 2, which is not a factor of x^10 - 2"
+    with pytest.raises(Error, match=re.escape(message)):
+        factor_orbits(CTX1, factors, 0)
