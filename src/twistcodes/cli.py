@@ -372,6 +372,17 @@ def _budget(text: str) -> int:
     return value
 
 
+def _add_budget_opt(p: argparse.ArgumentParser):
+    p.add_argument(
+        "--budget",
+        type=_budget,
+        default=DEFAULT_BUDGET,
+        help="messages a distance search may cover (default %(default)s); each message it "
+        "compares covers its q - 1 nonzero multiples, which share its weight. When the "
+        "budget runs out, the bounds found so far are reported and the exit status is 1",
+    )
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared by every main call."""
@@ -403,8 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="certified minimum distance")
     _add_ctx_opts(p)
     _add_element_opts(p)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    p.add_argument("--method", choices=("auto", "exhaustive", "info-set"), default="auto")
+    _add_budget_opt(p)
+    p.add_argument(
+        "--method",
+        choices=("auto", "exhaustive", "info-set"),
+        default="auto",
+        help="exhaustive covers all q^k messages, info-set those of one information set by "
+        "increasing weight; auto (the default) is exhaustive iff q^k <= 10^7",
+    )
     p.set_defaults(run=cmd_distance)
 
     p = sub.add_parser("lcd-check", help="both LCD criteria and their agreement")
@@ -428,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate LCD ideals, best first")
     _add_ctx_opts(p)
     p.add_argument("--galois", type=int, default=0, metavar="K")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    _add_budget_opt(p)
     p.add_argument("--table", help=f"best-known table path (default ${ENV_TABLE} or bundled)")
     p.add_argument("--no-distances", action="store_true")
     p.add_argument("--min-dim", type=int, default=0)
@@ -437,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-examples", help="re-derive the bundled reference examples")
     p.add_argument("--seed", type=int, default=0, help="only echoed: every example is over GF(p)")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    _add_budget_opt(p)
     p.add_argument(
         "--example",
         action="append",

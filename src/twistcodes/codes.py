@@ -8,19 +8,22 @@ and the minimum-distance enumerations fast without any compiled code.
 
 Minimum distance enumerates all q^k codewords when that is small enough,
 and otherwise the messages of one information set in increasing weight,
-certifying d once the weight bound passes the best codeword found.  Both
-share one compare kernel: each message is a prefix codeword p plus an
-entry t of a small table, and the weight of p + t is a start weight plus
-the number of positions where t != -p, so the inner loop reads no field
-table; it counts a slab of positions per numpy pass.  The exhaustive
-method compares all n positions from 0.  In the information-set method
-the pivot entries of a codeword are its message, so the weight is the
-message weight plus the mismatches on the n - k redundancy columns, the
-only columns compared.  There a support is a head plus a tail of its last
-one or two rows, taken from one table of every such tail built per call;
-a head's codewords are built once from those of the head less its last
-row, shared by consecutive heads, and a batch whose minimum cannot beat
-the best codeword so far is not searched for its position.
+certifying d once the weight bound passes the best codeword found.  The
+q - 1 nonzero multiples a M of a message share its support and weight, so
+both compare only the first of each such class in their visiting order
+and count the whole class as work.  Both share one compare kernel: each
+message is a prefix codeword p plus an entry t of a small table, and the
+weight of p + t is a start weight plus the number of positions where
+t != -p, so the inner loop reads no field table; it counts a slab of
+positions per numpy pass.  The exhaustive method compares all n positions
+from 0.  In the information-set method the pivot entries of a codeword
+are its message, so the weight is the message weight plus the mismatches
+on the n - k redundancy columns, the only columns compared.  There a
+support is a head plus a tail of its last one or two rows, taken from one
+table of every such tail built per call; a head's codewords are built
+once from those of the head less its last row, shared by consecutive
+heads, and a batch whose minimum cannot beat the best codeword so far is
+not searched for its position.
 """
 
 from __future__ import annotations
@@ -334,9 +337,10 @@ def check_idempotent_lcd(e: AlgElem, k: int = 0) -> bool:
 class DistanceCertificate:
     """Outcome of a minimum-distance computation.
 
-    work counts enumerated messages; for the info-set method,
-    message_weight is the last fully enumerated message weight, which
-    certifies that no codeword of weight <= message_weight was missed.
+    work counts the messages covered, each compared message standing for
+    its q - 1 nonzero multiples; for the info-set method, message_weight
+    is the last fully enumerated message weight, which certifies that no
+    codeword of weight <= message_weight was missed.
     """
 
     d: int
@@ -363,7 +367,9 @@ def min_distance(
     method "auto" enumerates all q^k codewords when q^k <= 10^7 and
     otherwise runs the single-information-set search over messages of
     increasing weight, stopping when the weight-(w+1) lower bound meets
-    the best codeword found.  Raises BudgetExceeded with the bounds
+    the best codeword found.  Either compares one message of each class
+    {a M : a != 0}, the first in its visiting order, and counts the q - 1
+    it covers against the budget.  Raises BudgetExceeded with the bounds
     established so far if the work limit is hit first.
     """
     if C.k == 0:
@@ -440,8 +446,6 @@ def _scan(field: FieldSpec, P: np.ndarray, T: np.ndarray, m: int, start: int, bo
     shape, axes = ((-1, m, len(P)), (0, 2, 1)) if flip else ((len(P), -1, m), (1, 0, 2))
     W = W.reshape(shape).transpose(axes).ravel()
     i = int(W.argmin())
-    if W[i] == 0:  # the zero codeword: message 0, met only while there is no best
-        i = 1 + int(W[1:].argmin())
     g, r = divmod(i, len(P) * m)
     return int(W[i]), r // m, g * m + r % m
 
@@ -457,9 +461,17 @@ def _min_distance_exhaustive(C: LinearCode, budget: int) -> DistanceCertificate:
     t = T.shape[1]
     full, rem = divmod(stop, t)
     best, pb = None, max(1, _BLOCK // t)
-    # prefixes 0..full-1 meet all of T, prefix full its first rem entries
-    spans = [(s0, min(s0 + _BLOCK, full), T) for s0 in range(0, full, _BLOCK)]
-    spans += [(full, full + 1, T[:, :rem])] if rem else []
+    # a class {a M : a != 0} shares one weight: only its first message is
+    # compared, whose highest nonzero digit is 1, in [q^j, 2 q^j).  Prefix 0
+    # meets those columns of T; the prefixes in [q^j, 2 q^j) (for q = 2 the
+    # ranges merge into one) meet all of T in spans cut at multiples of
+    # _BLOCK, and prefix full its first rem entries
+    spans = [(0, 1, T[:, [c for j in range(b) for c in range(q**j, 2 * q**j)]])] if b else []
+    ranges = [(1, 2 ** (k - b))] if q == 2 else [(q**j, 2 * q**j) for j in range(k - b)]
+    for lo, hi in ranges:
+        cuts = [lo, *range(lo - lo % _BLOCK + _BLOCK, min(hi, full), _BLOCK), min(hi, full)]
+        spans += [(s0, s1, T) for s0, s1 in zip(cuts, cuts[1:]) if s0 < s1]
+        spans += [(full, full + 1, T[:, :rem])] if rem and lo <= full < hi else []
     for s0, s1, U in spans:
         P = _codewords(field, G[b:], digits, s0, s1)
         for i in range(0, len(P), pb):
@@ -481,11 +493,13 @@ def _min_distance_infoset(C: LinearCode, budget: int) -> DistanceCertificate:
     would exceed _BLOCK columns).  One table per call holds every s-row tail
     with every nonzero value tuple; the tails of a head ending at row h are
     the s-subsets of h+1..k-1, a contiguous suffix of that table, compared
-    in batches that are slices of it.  When a head's m^(w-s) codewords fit
-    one batch they are built once, as the codewords S of the head less its
-    last row (kept while consecutive heads share it) plus each multiple of
-    that row, and meet every batch; a longer head is built chunk by chunk
-    for each batch, so no table exceeds about 2 * _BLOCK codewords."""
+    in batches that are slices of it.  A nonempty head compares only its
+    m^(w-s-1) codewords whose first row has value 1, the first multiple of
+    each message.  When they fit one batch they are built once, as the
+    codewords S of the head less its last row (kept while consecutive heads
+    share it) plus each multiple of that row, and meet every batch; a
+    longer head is built chunk by chunk for each batch, so no table exceeds
+    about 2 * _BLOCK codewords."""
     field, G, k = C.field, C.gen, C.k
     ADD, MUL, _, _ = _tables(field)
     m, nz = field.q - 1, np.arange(1, field.q)
@@ -504,7 +518,7 @@ def _min_distance_infoset(C: LinearCode, budget: int) -> DistanceCertificate:
             g = m**s  # columns per tail
             T = np.ascontiguousarray(T.reshape(len(tails) * g, -1).T)
             suffix = np.searchsorted(tails[:, 0], np.arange(k + 1)).tolist()
-        n_vals, n_head = m**w, m ** (w - s)
+        n_vals, n_head = m**w, m ** max(0, w - s - 1)  # messages covered, head codewords
         pb = min(n_head, _BLOCK // g)  # head codewords per batch
         step = max(1, _BLOCK // (pb * g))  # tails per batch
         # supports that share their head are consecutive in combinations order;
@@ -516,7 +530,8 @@ def _min_distance_infoset(C: LinearCode, budget: int) -> DistanceCertificate:
             if fit and pb == n_head:  # one chunk: built once, from the head less its last row
                 if head[:-1] != prefix:  # consecutive heads share it
                     prefix, S = head[:-1], _codewords(field, R[rows[1:]], nz, 0, n_head // m or 1)
-                P = ADD[S[:, None], V[head[-1]][None]].reshape(n_head, -1) if head else S
+                P = ADD[S[:, None], V[head[-1]][None]].reshape(len(S) * m, -1) if head else S
+                P = P[:n_head]  # of a one-row head, the first multiple only
             for l0 in range(t0, t0 + fit, step):
                 U = T[:, l0 * g : min(l0 + step, t0 + fit) * g]
                 for p0 in range(0, n_head, pb):

@@ -207,13 +207,13 @@ def test_search_frozen_at_length_26(capsys):
     "block, groups, batch",
     [
         # below C(12, 2) * 4^2 = 1056 for every info-set code (k >= 12): one-row
-        # tails throughout, and 1020 // 4 = 255 of the 256 weight-5 head
+        # tails throughout, and 252 // 4 = 63 of the 64 compared weight-5 head
         # codewords per batch, so those head spans split over two batches
-        (1020, {4}, (5, 4, 255, 4)),
+        (252, {4}, (5, 4, 63, 4)),
         # at least C(21, 2) * 4^2 = 3360: two-row tails from weight 2 on; at
-        # weight 3 a batch holds 4096 // (4 * 16) = 64 tails, fewer than the 66
-        # of head (0,) when k = 13, so that head's tails split over two batches
-        (4096, {4, 16}, (3, 16, 4, 64 * 16)),
+        # weight 4 a batch holds 4096 // (4 * 16) = 64 tails, fewer than the 66
+        # of head (0, 1) when k = 14, so that head's tails split over two batches
+        (4096, {4, 16}, (4, 16, 4, 64 * 16)),
     ],
 )
 def test_distance_witnesses_independent_of_block_size(capsys, block, groups, batch):

@@ -13,6 +13,7 @@ exhaustion mid-enumeration and the kernel's table splits.
 
 import random
 import tracemalloc
+from math import comb
 from itertools import combinations, product
 from unittest import mock
 
@@ -21,12 +22,16 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from twistcodes import codes  # noqa: E402
-from twistcodes.codes import LinearCode, min_distance  # noqa: E402
-from twistcodes.discover import iter_ideal_codes  # noqa: E402
+from twistcodes.codes import LinearCode, ideal_from_element, min_distance  # noqa: E402
+from twistcodes.discover import (  # noqa: E402
+    REFERENCE_EXAMPLES,
+    iter_ideal_codes,
+    make_reference_ctx,
+)
 from twistcodes.errors import BudgetExceeded  # noqa: E402
 from twistcodes.gf import GF  # noqa: E402
 from twistcodes.talg import AlgebraCtx  # noqa: E402
@@ -244,8 +249,7 @@ def _scan_by_column(field, P, T, m, start, bound):
     for g0 in range(0, T.shape[1], m):  # by group, then row of P, then within the group
         for r in range(len(P)):
             for c in range(g0, g0 + m):
-                first_zero = W[r, c] == 0 and (g0, r, c) == (0, 0, 0)  # message 0
-                if not first_zero and (best is None or W[r, c] < best[0]):
+                if best is None or W[r, c] < best[0]:
                     best = int(W[r, c]), r, c
     return best
 
@@ -267,7 +271,6 @@ def test_scan_matches_column_loop(q, n_rows, groups, m, columns, start, block, b
     of P than columns of T and fewer), the uint16 weights of start +
     columns >= 256, slabs of one column and of all, and the None of a batch
     that cannot beat the bound."""
-    assume(columns or start)  # else every weight is 0: no codeword but message 0
     F, rng = GF(q), random.Random(seed)
     P = np.array([[rng.randrange(q) for _ in range(columns)] for _ in range(n_rows)], np.uint8)
     T = np.array([[rng.randrange(q) for _ in range(groups * m)] for _ in range(columns)], np.uint8)
@@ -279,9 +282,10 @@ def test_scan_matches_column_loop(q, n_rows, groups, m, columns, start, block, b
 
 def test_infoset_compare_temporary_bounded():
     """A budget-stopped search over 260 redundancy columns reaches weight 3,
-    where a batch holds 256 head codewords by 128 tail columns: compared
-    all at once, its 260 columns would need an 8.5 MB temporary."""
-    F, k, n = GF(17), 40, 300
+    where a batch holds the 16 head codewords whose first row has value 1
+    by 2048 tail columns, the 128 tails of head (0, 1): compared all at
+    once, its 260 columns would need an 8.5 MB temporary."""
+    F, k, n = GF(17), 130, 390
     rng = random.Random(300)
     rows = [
         [F.one if i == j else F.zero for j in range(k)]
@@ -304,15 +308,17 @@ def test_infoset_compare_temporary_bounded():
     finally:
         tracemalloc.stop()
     assert got[0] == "budget" and got[1:2] == (3,) and got[3] == budget
-    assert (3, 256, 8 * 16) in shapes and (n - k) * 256 * 8 * 16 > 8 * 2**20
+    assert (3, 16, 128 * 16) in shapes and (n - k) * 16 * 128 * 16 > 8 * 2**20
     assert peak < 8 * 2**20
 
 
 def test_head_codewords_built_once_per_head():
-    """At _BLOCK = 64 over GF(5) the tails are single rows (C(8, 2) * 4^2 >
-    64).  Weight-2 and weight-3 heads fit one chunk, built once and compared
-    with several tail batches; weight-4 heads span four chunks, built chunk
-    by chunk for each tail.  The results equal the reference enumeration's."""
+    """At _BLOCK = 16 over GF(5) the tails are single rows (C(8, 2) * 4^2 >
+    16), and a weight-w head compares its 4^(w-2) codewords whose first row
+    has value 1.  Weight-2 and weight-3 heads fit one chunk, built once and
+    compared with several tail batches; weight-4 heads span four chunks,
+    built chunk by chunk for each tail.  The results equal the reference
+    enumeration's."""
     F = GF(5)
     rng = random.Random(5)
     rand = [[F.from_index(rng.randrange(5)) for _ in range(8)] for _ in range(8)]
@@ -326,16 +332,101 @@ def test_head_codewords_built_once_per_head():
         scans.append((start, P, T))
         return scan(field, P, T, m, start, bound)
 
-    with mock.patch.object(codes, "_BLOCK", 64), mock.patch.object(codes, "_scan", spy):
+    with mock.patch.object(codes, "_BLOCK", 16), mock.patch.object(codes, "_scan", spy):
         got = _run(C, codes.DEFAULT_BUDGET, "info-set")
     assert got == reference_infoset(F, G, codes.DEFAULT_BUDGET)
     assert got[3] >= 4
     # weights 2 and 3: 7 and C(7, 2) heads with tails, each built once
     for w, heads in ((2, 7), (3, 21)):
         batches = [P for start, P, _ in scans if start == w]
-        assert {len(P) for P in batches} == {4 ** (w - 1)}
+        assert {len(P) for P in batches} == {4 ** (w - 2)}
         assert len({id(P) for P in batches}) == heads < len(batches)
-    # weight 4: 64 head codewords in chunks of 16, all four meeting each tail
+    # weight 4: 16 head codewords in chunks of 4, all four meeting each tail
     chunks = [(P, T) for start, P, T in scans if start == 4]
-    assert {len(P) for P, _ in chunks} == {16} and len(chunks) % 4 == 0
+    assert {len(P) for P, _ in chunks} == {4} and len(chunks) % 4 == 0
     assert all(len({id(T) for _, T in chunks[i : i + 4]}) == 1 for i in range(0, len(chunks), 4))
+
+
+def _compared_codewords(batches):
+    """A _scan spy that appends every compared codeword, one row each, to
+    batches["exhaustive"] (start weight 0) or batches["info-set"]."""
+    scan = codes._scan
+
+    def spy(field, P, T, m, start, bound):
+        words = field.np_add[P[:, None], T.T[None]].reshape(-1, T.shape[0])
+        batches["info-set" if start else "exhaustive"].append(words)
+        return scan(field, P, T, m, start, bound)
+
+    return spy
+
+
+def _classes(field, words):
+    """The number of distinct classes {a c : a != 0} among the nonzero rows,
+    each scaled so that its first nonzero entry is 1."""
+    lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
+    return len(np.unique(field.np_mul[field.np_inv[lead][:, None], words], axis=0))
+
+
+def test_min_distance_compares_one_message_per_scalar_class():
+    """The [19,7,10] and [19,12,6] codes of the GF(7) reference example.
+    Both routes compare one message of each class {a M : a != 0}: by
+    exhaustion (7^7 - 1) / 6 = 137,257 of the 823,543 messages its work
+    counts, by info-set 1,143,720 of 6,850,080, where a support of weight
+    w <= 2 (the tail alone) is compared with all its 6^w values and a
+    longer one with the 6^(w-1) whose first value is 1."""
+    ex = next(ex for ex in REFERENCE_EXAMPLES if ex.name.startswith("GF(7), n=19"))
+    ctx, e, f = make_reference_ctx(ex)
+    batches = {"exhaustive": [], "info-set": []}
+    with mock.patch.object(codes, "_scan", _compared_codewords(batches)):
+        certs = [min_distance(ideal_from_element(g)) for g in (e, f)]
+    assert [(c.method, c.work) for c in certs] == [("exhaustive", 823543), ("info-set", 6850080)]
+    assert 6850080 == sum(comb(12, w) * 6**w for w in range(1, 6))
+    assert 1143720 == sum(comb(12, w) * 6 ** (w - (w > 2)) for w in range(1, 6))
+    counts = {route: sum(map(len, words)) for route, words in batches.items()}
+    assert counts == {"exhaustive": 137257, "info-set": 1143720}
+    exhaustive = np.concatenate(batches["exhaustive"])
+    assert exhaustive.any(axis=1).all() and _classes(ctx.field, exhaustive) == 137257
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=codes_and_budgets())
+def test_exhaustive_compares_each_scalar_class_once(case):
+    """The exhaustive route compares the messages below its work whose
+    highest nonzero digit is 1, the first of each class {a M : a != 0}:
+    never message 0, each class once, (q^k - 1) / (q - 1) in a finished
+    run and q^k - 1 over GF(2)."""
+    F, C, budget, block = case
+    if C.k == 0:
+        return
+    q, k = F.q, C.k
+    batches = {"exhaustive": [np.zeros((0, C.n), np.uint8)]}
+    with mock.patch.object(codes, "_BLOCK", block):
+        with mock.patch.object(codes, "_scan", _compared_codewords(batches)):
+            got = _run(C, budget, "exhaustive")
+    stop = got[3] if got[0] == "budget" else got[2]
+    words = np.concatenate(batches["exhaustive"])
+    assert len(words) == sum(max(0, min(2 * q**j, stop) - q**j) for j in range(k))
+    assert words.any(axis=1).all() and _classes(F, words) == len(words)
+    if stop == q**k:
+        assert len(words) == (q**k - 1) // (q - 1)
+
+
+def test_binary_exhaustive_compares_every_nonzero_message():
+    """Over GF(2) every class is one message: a [40,17] code compares all
+    2^17 - 1 nonzero messages in the scans of a walk over all 2^17, one
+    per prefix of the _BLOCK low codewords, and certifies the first
+    minimum-weight codeword of a brute-force enumeration."""
+    F, k, n = GF(2), 17, 40
+    rng = np.random.default_rng(2)
+    G = np.concatenate([np.eye(k, dtype=np.uint8), rng.integers(0, 2, (k, n - k), np.uint8)], 1)
+    C = LinearCode.from_vectors(F, n, [[F.from_index(int(i)) for i in row] for row in G])
+    assert (C.gen == G).all()
+    batches = {"exhaustive": []}
+    with mock.patch.object(codes, "_scan", _compared_codewords(batches)):
+        cert = min_distance(C, method="exhaustive")
+    words = (np.arange(2**k)[:, None] >> np.arange(k) & 1) @ G.astype(np.int64) % 2
+    first = int(words[1:].sum(axis=1).argmin()) + 1
+    assert (cert.d, [c.index for c in cert.witness]) == (words[first].sum(), list(words[first]))
+    assert cert.work == 2**k and len(batches["exhaustive"]) == 2**k // codes._BLOCK == 4
+    compared = np.concatenate(batches["exhaustive"])
+    assert len(compared) == _classes(F, compared) == 2**k - 1
