@@ -221,23 +221,24 @@ def is_lambda_constacyclic(C: LinearCode, lam: FieldElem) -> bool:
 
 
 def ideal_from_element(a: AlgElem) -> LinearCode:
-    """The principal ideal <a> as a linear code: row space of the n
-    twisted shifts of phi^{-1}(a)."""
-    ctx = a.ctx
-    F, n = ctx.field, ctx.n
-    MUL = _tables(F)[1]
-    # shift i moves entry j - i to j, times lam where it wrapped (j < i)
-    j = np.arange(n)
-    M = np.array(a.indices, dtype=np.uint8)[(j - j[:, None]) % n]
-    wrapped = j < j[:, None]
-    M[wrapped] = MUL[ctx.lam.index][M[wrapped]]
+    """The principal ideal <a> as a linear code.  <a> = <g> for
+    g = gcd(a, x^n - lam), which the k = n - deg g plain shifts
+    g, x g, ..., x^(k-1) g span, none wrapping; returns their RREF."""
+    F, n = a.ctx.field, a.ctx.n
+    _tables(F)
+    g = Poly.from_indices(F, a.indices).gcd(Poly.xn_minus(F, n, a.ctx.lam)).indices
+    M = np.zeros((n + 1 - len(g), n), dtype=np.uint8)
+    for i in range(len(M)):
+        M[i, i : i + len(g)] = g
     return LinearCode(F, n, *_rref(F, M))
 
 
 def generator_poly(C: LinearCode, ctx: AlgebraCtx) -> Poly:
-    """The monic generator: gcd of x^n - lam with every code polynomial.
+    """The monic generator g of degree n - k, read off the last RREF row.
 
-    Degree n - k; the zero code yields x^n - lam itself.
+    The rows x^i g, i < k, are in echelon form with pivots 0..k-1, so the
+    last RREF row is x^(k-1) times a scalar multiple of g; the zero code
+    yields x^n - lam itself.
     """
     if C.field != ctx.field or C.n != ctx.n:
         raise FieldMismatch(
@@ -246,10 +247,9 @@ def generator_poly(C: LinearCode, ctx: AlgebraCtx) -> Poly:
         )
     if not is_lambda_constacyclic(C, ctx.lam):
         raise NotConstacyclic(f"code is not {ctx.lam}-constacyclic")
-    g = Poly.xn_minus(ctx.field, ctx.n, ctx.lam)
-    for row in C.gen.tolist():
-        g = g.gcd(Poly.from_indices(ctx.field, row))
-    return g
+    if not C.k:
+        return Poly.xn_minus(ctx.field, ctx.n, ctx.lam)
+    return Poly.from_indices(ctx.field, C.gen[-1, C.k - 1 :].tolist()).monic()
 
 
 def idempotent_generator(C: LinearCode, ctx: AlgebraCtx) -> AlgElem:
@@ -463,12 +463,10 @@ def _min_distance_exhaustive(C: LinearCode, budget: int) -> DistanceCertificate:
     best, pb = None, max(1, _BLOCK // t)
     # a class {a M : a != 0} shares one weight: only its first message is
     # compared, whose highest nonzero digit is 1, in [q^j, 2 q^j).  Prefix 0
-    # meets those columns of T; the prefixes in [q^j, 2 q^j) (for q = 2 the
-    # ranges merge into one) meet all of T in spans cut at multiples of
-    # _BLOCK, and prefix full its first rem entries
+    # meets those columns of T; the prefixes in [q^j, 2 q^j) meet all of T in
+    # spans cut at multiples of _BLOCK, and prefix full its first rem entries
     spans = [(0, 1, T[:, [c for j in range(b) for c in range(q**j, 2 * q**j)]])] if b else []
-    ranges = [(1, 2 ** (k - b))] if q == 2 else [(q**j, 2 * q**j) for j in range(k - b)]
-    for lo, hi in ranges:
+    for lo, hi in [(q**j, 2 * q**j) for j in range(k - b)]:
         cuts = [lo, *range(lo - lo % _BLOCK + _BLOCK, min(hi, full), _BLOCK), min(hi, full)]
         spans += [(s0, s1, T) for s0, s1 in zip(cuts, cuts[1:]) if s0 < s1]
         spans += [(full, full + 1, T[:, :rem])] if rem and lo <= full < hi else []

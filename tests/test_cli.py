@@ -120,6 +120,21 @@ def test_code_from_mask_and_genpoly(capsys):
     assert rec2["rows"] == rec["rows"]
 
 
+def test_genpoly_of_degree_at_least_n(capsys):
+    # p | n: x^9 - 1 = (x - 1)^9 over GF(3).  x^3 - 1 generates a [9,6] code,
+    # and so does x^9 (x^3 - 1), of degree 12, reduced mod x^9 - 1 first;
+    # x^9 - 1 itself reduces to 0 and gives the zero code
+    def rows(genpoly):
+        argv = ["code", "-q", "3", "-n", "9", "--lam", "1", "--genpoly", genpoly]
+        rc, out = run(capsys, argv + ["--format", "json"])
+        assert rc == 0
+        return [r for r in json_lines(out) if r["record"] == "code"][0]["rows"]
+
+    assert len(rows("2,0,0,1")) == 6
+    assert rows("0,0,0,0,0,0,0,0,0,2,0,0,1") == rows("2,0,0,1")
+    assert rows("2,0,0,0,0,0,0,0,0,1") == []
+
+
 def test_element_arg_validation(capsys):
     rc = main(["code", "-q", "3", "-n", "10", "--lam", "2"])
     assert rc == 2

@@ -1,3 +1,4 @@
+import functools
 import random
 from math import gcd
 
@@ -271,8 +272,21 @@ def test_linear_factors_from_roots_match_splitting(F):
 
 
 def _pow_mod_q(g, f):
-    """The generic q-th power step of _ddf, by square and multiply mod f."""
-    return g.pow_mod(f.field.q, f)
+    """The generic q-th power step of _ddf: g^q = sum_i g_i x^(iq) mod f, as
+    the q-th power is additive and fixes GF(q)."""
+    out = Poly.zero(f.field)
+    for c, row in zip((g % f).indices, _qth_rows(f)):
+        out = out + row._scale(c)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _qth_rows(f):
+    """x^(iq) mod f for i < deg f, from one square and multiply x^q mod f."""
+    xq, rows = Poly.x(f.field).pow_mod(f.field.q, f), [Poly.one(f.field) % f]
+    for _ in range(1, f.degree):
+        rows.append((rows[-1] * xq) % f)
+    return rows
 
 
 DDF_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 243, 256, 343, 729)
