@@ -20,10 +20,12 @@ from 0.  In the information-set method the pivot entries of a codeword
 are its message, so the weight is the message weight plus the mismatches
 on the n - k redundancy columns, the only columns compared.  There a
 support is a head plus a tail of its last one or two rows, taken from one
-table of every such tail built per call; a head's codewords are built
-once from those of the head less its last row, shared by consecutive
-heads, and a batch whose minimum cannot beat the best codeword so far is
-not searched for its position.
+table of every such tail built per call, and each weight level builds the
+codewords of all its heads at once, in chunks.  A level where a codeword
+must match its tail on all but a few of those columns to beat the best
+so far is a pigeonhole join: the columns are cut into one block more
+than the mismatches allowed, and only the pairs that agree exactly on a
+block, found by key, are counted in full (collision search, Stern 1989).
 """
 
 from __future__ import annotations
@@ -369,8 +371,11 @@ def min_distance(
     increasing weight, stopping when the weight-(w+1) lower bound meets
     the best codeword found.  Either compares one message of each class
     {a M : a != 0}, the first in its visiting order, and counts the q - 1
-    it covers against the budget.  Raises BudgetExceeded with the bounds
-    established so far if the work limit is hit first.
+    it covers against the budget; the info-set search counts in full only
+    the messages that can still beat the best codeword on levels where few
+    can.  Work, witness and bounds are those of visiting every message in
+    order.  Raises BudgetExceeded with the bounds established so far if the
+    work limit is hit first.
     """
     if C.k == 0:
         raise ZeroCode("the zero code has no minimum distance")
@@ -482,29 +487,122 @@ def _min_distance_exhaustive(C: LinearCode, budget: int) -> DistanceCertificate:
     return DistanceCertificate(best[0], _vec_elems(field, best[1]), "exhaustive", stop)
 
 
+def _ranges(lo: np.ndarray, cnt: np.ndarray, size: int):
+    """The ranges lo[i], ..., lo[i] + cnt[i] - 1 one after another, in windows
+    of at most size entries, each a pair (i, value) of arrays."""
+    end = np.cumsum(cnt)
+    start, total = end - cnt, int(end[-1]) if len(end) else 0
+    for x0 in range(0, total, size):
+        x1 = min(x0 + size, total)
+        a, b = np.searchsorted(end, (x0, x1 - 1), side="right")  # the owners in the window
+        own = np.arange(a, b + 1)
+        i = np.repeat(own, np.minimum(end[own], x1) - np.maximum(start[own], x0))
+        yield i, lo[i] + np.arange(x0, x1) - start[i]
+
+
+def _heads(ADD: np.ndarray, V: np.ndarray, L: int, size: int):
+    """The L-row heads over the k = len(V) rows in combinations order, in
+    chunks (H, P) of at most max(1, size // c) heads, c = m^(L-1): H[i] is a
+    head and P[i*c : (i+1)*c] its codewords whose first row has value 1,
+    little-endian over the reversed head.  A chunk extends a chunk of
+    (L-1)-row heads by a last row, one gather per entry."""
+    k, m, r = V.shape
+    if L == 0:
+        yield np.zeros((1, 0), np.intp), np.zeros((1, r), np.uint8)
+        return
+    mm, c = (m if L > 1 else 1), m ** (L - 1)  # the first row takes the value 1 only
+    for H0, P0 in _heads(ADD, V, L - 1, size):
+        first = H0[:, -1] + 1 if L > 1 else np.zeros(1, np.intp)
+        for i, x in _ranges(first, k - first, max(1, size // c)):
+            # ADD[a, b] read as ADD.flat[a * q + b], a 1-D take
+            P = P0.reshape(len(H0), -1, 1, r)[i].astype(np.uint16) * len(ADD)
+            P = ADD.ravel().take(P + V[x, None, :mm]).reshape(-1, r)
+            yield np.column_stack((H0[i], x)), P
+
+
+def _joins(q: int, r: int, sigma: int) -> bool:
+    """Whether a weight level is searched by the pigeonhole join: its pairs
+    may differ on at most sigma of the r compared columns, so they agree on
+    one of sigma + 1 blocks, which at most 1/8 of random pairs do.  At most
+    8 blocks, so the index holds at most 8 keys per tail column."""
+    return sigma < min(r, 8) and q ** (r // (sigma + 1)) >= 8 * (sigma + 1)
+
+
+def _keys(A: np.ndarray, blocks: list, bits: int) -> np.ndarray:
+    """K[b, i]: the entries of A[i] on the columns of blocks[b], bits apiece."""
+    K = np.zeros((len(blocks), len(A)), np.int64)
+    for key, cols in zip(K, blocks):
+        for c in cols:
+            key <<= bits
+            key |= A[:, c]
+    return K
+
+
+def _index(TT: np.ndarray, blocks: list, bits: int):
+    """The tail columns (rows of TT) bucketed by block and key, one bucket per
+    key value.  A block keys on as many of its first columns as fit in one
+    bit more than len(TT) needs, so a random key matches about one column."""
+    cut = max(1, (len(TT).bit_length() + 1) // bits)  # key columns per block
+    blocks = [cols[:cut] for cols in blocks]
+    sizes = [1 << (bits * len(cols)) for cols in blocks]
+    base = np.cumsum([0] + sizes[:-1])[:, None]
+    ids = (_keys(TT, blocks, bits) + base).ravel()
+    starts = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=sum(sizes)))))
+    return blocks, bits, base, starts, np.argsort(ids) % len(TT)
+
+
+def _candidates(NP, index, lo, hi, size):
+    """The pairs (i, c) of a negated head codeword NP[i] and a tail column
+    lo[i] <= c < hi[i] whose keys agree on some block of the index, in
+    windows of at most size pairs before the range test."""
+    blocks, bits, base, starts, cols = index
+    ids = _keys(NP, blocks, bits) + base
+    a = starts[ids]
+    for o, pos in _ranges(a.ravel(), (starts[ids + 1] - a).ravel(), size):
+        i, c = o % len(NP), cols[pos]
+        keep = (lo[i] <= c) & (c < hi[i])
+        yield i[keep], c[keep]
+
+
 def _min_distance_infoset(C: LinearCode, budget: int) -> DistanceCertificate:
     """A message of weight w has exactly w nonzero pivot entries, so only the
-    n - k redundancy columns are compared and every weight starts at w.
+    r = n - k redundancy columns are compared and every weight starts at w.
 
     A support is a head, its first w - s rows, plus a tail, its last
     s = min(w, 2) rows (s = 1 when the pairs of rows with all their values
     would exceed _BLOCK columns).  One table per call holds every s-row tail
     with every nonzero value tuple; the tails of a head ending at row h are
-    the s-subsets of h+1..k-1, a contiguous suffix of that table, compared
-    in batches that are slices of it.  A nonempty head compares only its
-    m^(w-s-1) codewords whose first row has value 1, the first multiple of
-    each message.  When they fit one batch they are built once, as the
-    codewords S of the head less its last row (kept while consecutive heads
-    share it) plus each multiple of that row, and meet every batch; a
-    longer head is built chunk by chunk for each batch, so no table exceeds
-    about 2 * _BLOCK codewords."""
+    the s-subsets of h+1..k-1, a contiguous suffix of that table.  A nonempty
+    head compares only its m^(w-s-1) codewords whose first row has value 1,
+    the first multiple of each message.
+
+    Each weight level takes its heads in combinations order, cut where the
+    budget ends, and builds their codewords in chunks of about 16 * _BLOCK
+    entries (a head too long for one chunk in parts).  With best the least
+    weight so far, a pair improves on it only with at most
+    sigma = best - w - 1 mismatches, so it agrees exactly on one of sigma + 1
+    blocks of the columns.  Where _joins says so, only the pairs whose keys
+    agree on some block are counted in full; elsewhere each head meets its
+    tails through _scan.  The minimum kept is the least (weight, w, head,
+    tail, head codeword, tail value), the visiting order of the messages."""
     field, G, k = C.field, C.gen, C.k
-    ADD, MUL, _, _ = _tables(field)
-    m, nz = field.q - 1, np.arange(1, field.q)
+    ADD, MUL, NEG, _ = _tables(field)
+    q, m, nz = field.q, field.q - 1, np.arange(1, field.q)
     R = G[:, [c for c in range(C.n) if c not in C.pivots]]
+    r = R.shape[1]
     V = MUL[nz][:, R].transpose(1, 0, 2)  # V[i, j] = nz[j] * R[i]
     s_max = 1 if comb(k, 2) * m * m > _BLOCK else 2
-    best, work, completed, prefix = None, 0, 0, None
+    best, work, completed = None, 0, 0  # best: (weight, order, support, message)
+
+    def limit():  # a tie can come first only on the level that found best
+        return best[0] + (best[1][0] == w) if best else C.n + 1
+
+    def improve(x, h, tail, p, val):
+        nonlocal best
+        order = (w, rank + int(h), int(tail), int(p), int(val))
+        if best is None or (x, order) < best[:2]:
+            best = int(x), order, tuple(H[h]) + tuple(tails[tail]), int(p) * g + int(val)
+
     for w in range(1, k + 1):
         if w <= s_max:  # s = min(w, s_max) grows
             s = w
@@ -514,36 +612,67 @@ def _min_distance_infoset(C: LinearCode, budget: int) -> DistanceCertificate:
             if s == 2:
                 T = ADD[T[:, :, None], V[tails[:, 1]][:, None]]
             g = m**s  # columns per tail
-            T = np.ascontiguousarray(T.reshape(len(tails) * g, -1).T)
-            suffix = np.searchsorted(tails[:, 0], np.arange(k + 1)).tolist()
+            TT = T.reshape(len(tails) * g, -1)  # one tail column per row, for gathers
+            T = np.ascontiguousarray(TT.T)
+            suffix = np.searchsorted(tails[:, 0], np.arange(k + 1))
         n_vals, n_head = m**w, m ** max(0, w - s - 1)  # messages covered, head codewords
-        pb = min(n_head, _BLOCK // g)  # head codewords per batch
-        step = max(1, _BLOCK // (pb * g))  # tails per batch
-        # supports that share their head are consecutive in combinations order;
-        # a head's codewords are little-endian over the reversed head
-        for head in combinations(range(k), w - s):
-            rows = list(head[::-1])
-            t0 = suffix[head[-1] + 1 if head else 0]
-            fit = min(len(tails) - t0, max(0, (budget - work) // n_vals))
-            if fit and pb == n_head:  # one chunk: built once, from the head less its last row
-                if head[:-1] != prefix:  # consecutive heads share it
-                    prefix, S = head[:-1], _codewords(field, R[rows[1:]], nz, 0, n_head // m or 1)
-                P = ADD[S[:, None], V[head[-1]][None]].reshape(len(S) * m, -1) if head else S
-                P = P[:n_head]  # of a one-row head, the first multiple only
-            for l0 in range(t0, t0 + fit, step):
-                U = T[:, l0 * g : min(l0 + step, t0 + fit) * g]
-                for p0 in range(0, n_head, pb):
-                    if pb < n_head:
-                        P = _codewords(field, R[rows], nz, p0, min(p0 + pb, n_head))
-                    hit = _scan(field, P, U, g, w, best[0] if best else C.n + 1)
-                    if hit:
-                        d, r, c = hit
-                        supp, i = head + tuple(tails[l0 + c // g]), (p0 + r) * g + c % g
-                        best = d, _codewords(field, G[list(supp[::-1])], nz, i, i + 1)[0]
-            work += fit * n_vals
-            if fit < len(tails) - t0:
+        sigma, blocks = best[0] - w - 1 if best else r, []
+        if _joins(q, r, sigma):
+            blocks = np.array_split(np.arange(r), sigma + 1) if sigma < r else [[]]
+            index = _index(TT, blocks, m.bit_length())
+        # codewords per chunk: r bytes each, and per block a key and a bucket
+        rows = max(1, 16 * _BLOCK // (r + 1 + 24 * len(blocks)))
+        whole, pb = n_head <= rows, max(1, min(n_head, _BLOCK // g))
+        chunks = _heads(ADD, V, w - s, rows) if whole else (  # else one head at a time
+            (np.array([head]), None) for head in combinations(range(k), w - s)
+        )
+        left, rank = max(0, budget - work) // n_vals, 0  # whole tails the budget covers
+        for H, P in chunks:
+            t0 = suffix[H[:, -1] + 1 if w > s else np.zeros(1, np.intp)]
+            nt = len(tails) - t0
+            used = np.cumsum(nt)
+            cut = len(H) if left >= int(used[-1]) else int(np.searchsorted(used, left, "right"))
+            stop = cut < len(H)
+            if stop:  # the budget ends within head cut
+                nt[cut] = left - (used[cut - 1] if cut else 0)
+                H, t0, nt = H[: cut + 1], t0[: cut + 1], nt[: cut + 1]
+                P = P[: (cut + 1) * n_head] if whole else P
+            covered = int(nt.sum())
+            parts = [(P, 0)] if whole else (
+                (_codewords(field, R[H[0, ::-1]], nz, p0, min(p0 + rows, n_head)), p0)
+                for p0 in range(0, n_head if covered else 0, rows)
+            )
+            for Q, p0 in parts:
+                n_rows = n_head if whole else len(Q)  # rows per head
+                if blocks:
+                    NQ = NEG.take(Q)
+                    lo, hi = np.repeat(t0 * g, n_rows), np.repeat((t0 + nt) * g, n_rows)
+                    for i, c in _candidates(NQ, index, lo, hi, rows):
+                        wt = w + (NQ[i] != TT[c]).sum(axis=1)
+                        keep = wt < limit()
+                        if keep.any():
+                            keep &= wt == wt[keep].min()
+                            (h, p), (tail, val) = divmod(i[keep], n_rows), divmod(c[keep], g)
+                            j = int((((h * len(tails) + tail) * n_rows + p) * g + val).argmin())
+                            improve(wt[keep][j], h[j], tail[j], p0 + p[j], val[j])
+                    continue
+                for h in np.flatnonzero(nt):
+                    end = t0[h] + nt[h]
+                    for p in range(0, n_rows, pb):
+                        Pa = Q[h * n_rows + p : h * n_rows + min(p + pb, n_rows)]
+                        step = max(1, _BLOCK // (len(Pa) * g))  # tails per batch
+                        for l0 in range(t0[h], end, step):
+                            U = T[:, l0 * g : min(l0 + step, end) * g]
+                            hit = _scan(field, Pa, U, g, w, limit())
+                            if hit:
+                                x, i, c = hit
+                                improve(x, h, l0 + c // g, p0 + p + i, c % g)
+            work, left, rank = work + covered * n_vals, left - covered, rank + len(H)
+            if stop:
                 raise BudgetExceeded(best[0] if best else None, completed + 1, work)
         completed = w
         if w + 1 >= best[0]:
             break
-    return DistanceCertificate(best[0], _vec_elems(field, best[1]), "info-set", work, completed)
+    supp, i = best[2], best[3]
+    witness = _codewords(field, G[list(supp[::-1])], nz, i, i + 1)[0]
+    return DistanceCertificate(best[0], _vec_elems(field, witness), "info-set", work, completed)

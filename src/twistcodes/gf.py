@@ -109,14 +109,17 @@ def _find_irreducible(p: int, m: int, seed: int) -> tuple[int, ...]:
 
 
 def _power(x, e: int, one, mul):
-    """x^e by square and multiply, for any associative mul with identity one."""
-    acc = one
+    """x^e by square and multiply, for any associative mul with identity one:
+    e.bit_length() - 1 squarings and popcount(e) - 1 products, so none at all
+    for e = 1 and one square for e = 2."""
+    acc = None
     while e:
         if e & 1:
-            acc = mul(acc, x)
-        x = mul(x, x)
+            acc = x if acc is None else mul(acc, x)
         e >>= 1
-    return acc
+        if e:
+            x = mul(x, x)
+    return one if acc is None else acc
 
 
 class _OnDemand(partial):

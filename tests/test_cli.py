@@ -222,34 +222,44 @@ def test_search_frozen_at_length_26(capsys):
     "block, groups, batch",
     [
         # below C(12, 2) * 4^2 = 1056 for every info-set code (k >= 12): one-row
-        # tails throughout, and 252 // 4 = 63 of the 64 compared weight-5 head
-        # codewords per batch, so those head spans split over two batches
-        (252, {4}, (5, 4, 63, 4)),
-        # at least C(21, 2) * 4^2 = 3360: two-row tails from weight 2 on; at
-        # weight 4 a batch holds 4096 // (4 * 16) = 64 tails, fewer than the 66
-        # of head (0, 1) when k = 14, so that head's tails split over two batches
-        (4096, {4, 16}, (4, 16, 4, 64 * 16)),
+        # tails throughout, so weight 2 scans a one-row head against its 13
+        # tails when k = 14; weight 5 of k = 12 is joined on one block in
+        # chunks of 16 * 252 // (9 + 1 + 24) = 118 codewords, one head of 64
+        (252, {4}, ((2, 4, 1, 13 * 4), (1, 64, 118))),
+        # at least C(21, 2) * 4^2 = 3360: two-row tails from weight 2 on, all
+        # 91 of k = 14 in one scan; weight 5 of k = 14 is joined on one block
+        # in chunks of 16 * 4096 // (7 + 1 + 24) = 2048 codewords, 32 heads
+        (4096, {4, 16}, ((2, 16, 1, 91 * 16), (1, 2048, 2048))),
     ],
 )
 def test_distance_witnesses_independent_of_block_size(capsys, block, groups, batch):
     """The 16 info-set certificates of the length-21 test stay byte-identical
-    when codes._BLOCK reshapes the batches (head rows x tail columns)."""
+    when codes._BLOCK reshapes the scans (head rows x tail columns) of
+    weights 1 and 2 and the chunks of the joined weights above them; batch
+    is one scan and one join chunk (blocks, head codewords, chunk size)."""
     argv = ["distance", "-q", "5", "-n", "21", "--lam", "4", "--format", "json", "--seed", "0"]
     masks = (12, 13, 14, 15, *range(20, 32))
     frozen = [run(capsys, argv + ["--mask", str(mask)]) for mask in masks]
-    scan, batches = twistcodes.codes._scan, set()
+    scan, candidates, batches, chunks = twistcodes.codes._scan, twistcodes.codes._candidates, set(), set()
 
     def spy(field, P, T, m, start, bound):
         if start:  # info-set batches: (weight, group size, head rows, tail columns)
             batches.add((start, m, len(P), T.shape[1]))
         return scan(field, P, T, m, start, bound)
 
+    def join_spy(NP, index, lo, hi, size):
+        chunks.add((len(index[0]), len(NP), size))  # (blocks, head codewords, chunk size)
+        return candidates(NP, index, lo, hi, size)
+
     with unittest.mock.patch.object(twistcodes.codes, "_BLOCK", block):
         with unittest.mock.patch.object(twistcodes.codes, "_scan", spy):
-            again = [run(capsys, argv + ["--mask", str(mask)]) for mask in masks]
+            with unittest.mock.patch.object(twistcodes.codes, "_candidates", join_spy):
+                again = [run(capsys, argv + ["--mask", str(mask)]) for mask in masks]
     assert again == frozen
     assert {rec["method"] for _, out in frozen for rec in json_lines(out)[1:]} == {"info-set"}
-    assert {b[1] for b in batches} == groups and batch in batches
+    assert {b[1] for b in batches} == groups and batch[0] in batches
+    assert {b[0] for b in batches} == {1, 2} and {c[0] for c in chunks} == {1, 2, 3}
+    assert batch[1] in chunks and max(c[1] for c in chunks) <= 16 * block // (1 + 24)
 
 
 def test_lcd_check(capsys):

@@ -96,8 +96,8 @@ def _run(C, budget, method):
 
 
 @st.composite
-def codes_and_budgets(draw):
-    q = draw(st.sampled_from(QS), label="q")
+def codes_and_budgets(draw, qs=QS):
+    q = draw(st.sampled_from(qs), label="q")
     F = GF(q)
     rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
     source = draw(
@@ -144,6 +144,79 @@ def test_min_distance_matches_reference_enumeration(case):
     with mock.patch.object(codes, "_BLOCK", block):
         assert _run(C, budget, "exhaustive") == reference_exhaustive(F, G, budget, block)
         assert _run(C, budget, "info-set") == reference_infoset(F, G, budget)
+
+
+JOIN_QS = (2, 3, 4, 5, 7)
+
+
+@pytest.mark.parametrize("joined", [True, False], ids=["join", "scan"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=codes_and_budgets(JOIN_QS))
+def test_infoset_levels_forced_to_one_engine_match_reference(joined, case):
+    """Every weight level searched by the pigeonhole join (weight 1 too,
+    where no best exists yet and one empty block makes every pair a
+    candidate), then every level by _scan: both give the reference's d,
+    witness, work, message weight and BudgetExceeded bounds."""
+    F, C, budget, block = case
+    if C.k == 0:
+        return
+    G = [[int(i) for i in row] for row in C.gen]
+    with mock.patch.object(codes, "_BLOCK", block):
+        with mock.patch.object(codes, "_joins", lambda q, r, sigma: joined):
+            assert _run(C, budget, "info-set") == reference_infoset(F, G, budget)
+
+
+@pytest.mark.parametrize("q", JOIN_QS)
+@pytest.mark.parametrize("joined", [True, False], ids=["join", "scan"])
+def test_infoset_budget_cut_in_each_level(q, joined):
+    """A budget that ends halfway through the supports of each weight in
+    turn, with chunks of a few codewords: both engines stop at the same
+    support with the reference's bounds and work."""
+    F, rng = GF(q), random.Random(q)
+    k = max(k for k in range(1, MAX_N + 1) if q**k <= MAX_MESSAGES)
+    rand = [[F.from_index(rng.randrange(q)) for _ in range(MAX_N - k)] for _ in range(k)]
+    C = LinearCode.from_vectors(
+        F, MAX_N, [[F.one if i == j else F.zero for j in range(k)] + rand[i] for i in range(k)]
+    )
+    G = [[int(i) for i in row] for row in C.gen]
+    done, cuts = 0, 0
+    for w in range(1, k + 1):
+        budget = done + comb(k, w) * (q - 1) ** w // 2
+        with mock.patch.object(codes, "_BLOCK", 4 * q):
+            with mock.patch.object(codes, "_joins", lambda q, r, sigma: joined):
+                got = _run(C, budget, "info-set")
+        assert got == reference_infoset(F, G, budget)
+        cuts += got[0] == "budget" and got[1] == w and done < got[3]
+        done += comb(k, w) * (q - 1) ** w
+    assert cuts >= 1
+
+
+def test_join_with_equal_keys_bounds_memory():
+    """A binary [68,28] code whose first 20 redundancy columns are zero.
+    Weights 2, 3 and 4 are joined on 6, 4 and 2 blocks, and at weight 4 the
+    first block is those 20 columns, where every key is 0: all C(28, 4) =
+    20,475 pairs of the level are candidates.  They are counted in windows
+    of at most one chunk's 5,890 codewords, so the search peaks far below
+    the 7 MB of counting them at once; the certificate equals the scan's."""
+    F, k, n = GF(2), 28, 68
+    rng = np.random.default_rng(28)
+    R = np.concatenate([np.zeros((k, 20), np.uint8), rng.integers(0, 2, (k, 20), np.uint8)], 1)
+    G = np.concatenate([np.eye(k, dtype=np.uint8), R], 1)
+    C = LinearCode.from_vectors(F, n, [[F.from_index(int(i)) for i in row] for row in G])
+    joins = []
+    tracemalloc.start()
+    try:
+        with mock.patch.object(codes, "_candidates", _candidates_spy(joins)):
+            got = _run(C, codes.DEFAULT_BUDGET, "info-set")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with mock.patch.object(codes, "_joins", lambda q, r, sigma: False):
+        assert _run(C, codes.DEFAULT_BUDGET, "info-set") == got
+    assert (got[0], got[2], got[3]) == (5, 24157, 4)
+    assert [(b, rows) for b, rows, _ in joins] == [(6, 1), (4, 28), (2, comb(28, 2))]
+    assert joins[2][2] >= comb(28, 4) == 20475
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("q", QS)
@@ -312,13 +385,42 @@ def test_infoset_compare_temporary_bounded():
     assert peak < 8 * 2**20
 
 
+def _heads_spy(chunks):
+    """A codes._heads spy that appends every yielded chunk (L, H, P)."""
+    heads = codes._heads
+
+    def spy(ADD, V, L, size):
+        for H, P in heads(ADD, V, L, size):
+            chunks.append((L, H, P))
+            yield H, P
+
+    return spy
+
+
+def _candidates_spy(calls):
+    """A codes._candidates spy that appends (blocks, head codewords, pairs
+    yielded) per call."""
+    candidates = codes._candidates
+
+    def spy(NP, index, lo, hi, size):
+        found = [(i, c) for i, c in candidates(NP, index, lo, hi, size)]
+        calls.append((len(index[0]), len(NP), sum(len(i) for i, _ in found)))
+        return iter(found)
+
+    return spy
+
+
 def test_head_codewords_built_once_per_head():
     """At _BLOCK = 16 over GF(5) the tails are single rows (C(8, 2) * 4^2 >
     16), and a weight-w head compares its 4^(w-2) codewords whose first row
-    has value 1.  Weight-2 and weight-3 heads fit one chunk, built once and
-    compared with several tail batches; weight-4 heads span four chunks,
-    built chunk by chunk for each tail.  The results equal the reference
-    enumeration's."""
+    has value 1.  Weight 1 (the empty head) and weight 2 are scanned: the 8
+    one-row heads of weight 2 are one chunk, built once, and each of its 10
+    scans reads a slice of it.  With d = 5 found, weight 3 is joined on
+    sigma + 1 = 2 blocks in chunks of 16 * 16 // (8 + 1 + 48) = 4 codewords,
+    one head each; weight 4 on one block in chunks of 7, fewer than a head's
+    16 codewords, so its heads are taken one at a time and each of the 35
+    with tails is built in parts of 7, 7 and 2.  The results equal the
+    reference enumeration's."""
     F = GF(5)
     rng = random.Random(5)
     rand = [[F.from_index(rng.randrange(5)) for _ in range(8)] for _ in range(8)]
@@ -326,25 +428,30 @@ def test_head_codewords_built_once_per_head():
         F, 16, [[F.one if i == j else F.zero for j in range(8)] + rand[i] for i in range(8)]
     )
     G = [[int(i) for i in row] for row in C.gen]
-    scans, scan = [], codes._scan
+    scans, chunks, joins, scan = [], [], [], codes._scan
 
     def spy(field, P, T, m, start, bound):
         scans.append((start, P, T))
         return scan(field, P, T, m, start, bound)
 
     with mock.patch.object(codes, "_BLOCK", 16), mock.patch.object(codes, "_scan", spy):
-        got = _run(C, codes.DEFAULT_BUDGET, "info-set")
+        with mock.patch.object(codes, "_heads", _heads_spy(chunks)):
+            with mock.patch.object(codes, "_candidates", _candidates_spy(joins)):
+                got = _run(C, codes.DEFAULT_BUDGET, "info-set")
     assert got == reference_infoset(F, G, codes.DEFAULT_BUDGET)
-    assert got[3] >= 4
-    # weights 2 and 3: 7 and C(7, 2) heads with tails, each built once
-    for w, heads in ((2, 7), (3, 21)):
-        batches = [P for start, P, _ in scans if start == w]
-        assert {len(P) for P in batches} == {4 ** (w - 2)}
-        assert len({id(P) for P in batches}) == heads < len(batches)
-    # weight 4: 16 head codewords in chunks of 4, all four meeting each tail
-    chunks = [(P, T) for start, P, T in scans if start == 4]
-    assert {len(P) for P, _ in chunks} == {4} and len(chunks) % 4 == 0
-    assert all(len({id(T) for _, T in chunks[i : i + 4]}) == 1 for i in range(0, len(chunks), 4))
+    assert got[0] == 5 and got[3] == 4
+    assert [start for start, _, _ in scans] == [1] * 2 + [2] * 10
+    # the one chunk of weight 2: all one-row heads, one codeword each
+    (H,), (P,) = zip(*[(H, P) for L, H, P in chunks if L == 1 and len(H) == 8])
+    assert H.tolist() == [[i] for i in range(8)] and len(P) == 8
+    assert all(np.shares_memory(Q, P) for start, Q, _ in scans if start == 2)
+    assert {len(T) for _, _, T in scans} == {8}
+    # weight 3: one chunk per two-row head; weight 4: three parts per head
+    assert sum(1 for L, H, P in chunks if L == 2 and P is not None) == 28
+    assert not any(L == 3 for L, _, _ in chunks)  # taken one head at a time
+    assert {(b, n) for b, n, _ in joins} == {(2, 4), (1, 7), (1, 2)}
+    assert [n for b, n, _ in joins].count(4) == 28
+    assert [n for b, n, _ in joins].count(7) == 70 and [n for b, n, _ in joins].count(2) == 35
 
 
 def _compared_codewords(batches):
@@ -373,19 +480,28 @@ def test_min_distance_compares_one_message_per_scalar_class():
     exhaustion (7^7 - 1) / 6 = 137,257 of the 823,543 messages its work
     counts, by info-set 1,143,720 of 6,850,080, where a support of weight
     w <= 2 (the tail alone) is compared with all its 6^w values and a
-    longer one with the 6^(w-1) whose first value is 1."""
+    longer one with the 6^(w-1) whose first value is 1.  Of those, the
+    2,448 of weights 1 and 2 are scanned.  d = 6 is found at weight 1, so
+    weights 3, 4 and 5 may differ on sigma = 2, 1, 0 of the 7 redundancy
+    columns and are joined on 3, 2 and 1 blocks, each level one chunk of
+    its head codewords: of their 1,141,272 pairs, 1,131 agree with their
+    tail on a block's key and are counted in full."""
     ex = next(ex for ex in REFERENCE_EXAMPLES if ex.name.startswith("GF(7), n=19"))
     ctx, e, f = make_reference_ctx(ex)
-    batches = {"exhaustive": [], "info-set": []}
+    batches, joins = {"exhaustive": [], "info-set": []}, []
     with mock.patch.object(codes, "_scan", _compared_codewords(batches)):
-        certs = [min_distance(ideal_from_element(g)) for g in (e, f)]
+        with mock.patch.object(codes, "_candidates", _candidates_spy(joins)):
+            certs = [min_distance(ideal_from_element(g)) for g in (e, f)]
     assert [(c.method, c.work) for c in certs] == [("exhaustive", 823543), ("info-set", 6850080)]
     assert 6850080 == sum(comb(12, w) * 6**w for w in range(1, 6))
     assert 1143720 == sum(comb(12, w) * 6 ** (w - (w > 2)) for w in range(1, 6))
+    assert 1143720 == 2448 + 1141272 == 12 * 6 + comb(12, 2) * 6**2 + 1141272
     counts = {route: sum(map(len, words)) for route, words in batches.items()}
-    assert counts == {"exhaustive": 137257, "info-set": 1143720}
+    assert counts == {"exhaustive": 137257, "info-set": 2448}
     exhaustive = np.concatenate(batches["exhaustive"])
     assert exhaustive.any(axis=1).all() and _classes(ctx.field, exhaustive) == 137257
+    assert 1141272 == sum(comb(12, w) * 6 ** (w - 1) for w in (3, 4, 5))
+    assert joins == [(3, 12, 328), (2, comb(12, 2) * 6, 366), (1, comb(12, 3) * 36, 437)]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

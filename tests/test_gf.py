@@ -10,7 +10,7 @@ from twistcodes.errors import (
     ReducibleModulus,
     ZeroTarget,
 )
-from twistcodes.gf import GF, FieldSpec, norm_image_classes, nth_power_witness
+from twistcodes.gf import GF, FieldSpec, _power, norm_image_classes, nth_power_witness
 
 F3 = GF(3)
 F5 = GF(5)
@@ -91,6 +91,22 @@ def test_pow_negative_exponent():
     assert a ** (-1) == a.inverse()
     assert a ** (-2) == (a * a).inverse()
     assert a**0 == F7.one
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 4, 5, 7, 8, 13, 64, 255, 1000, 2**70 + 5])
+def test_power_squares_up_to_the_top_bit_only(e):
+    """_power makes e.bit_length() - 1 squarings and popcount(e) - 1 other
+    products: none for e = 1 (Cantor-Zassenhaus's (p - 1) / 2 over GF(3)),
+    one for e = 2 (over GF(5)), and never a product with one."""
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a + b  # x^e in the additive group of the integers is e * x
+
+    assert _power(1, e, 0, mul) == e
+    assert len(calls) == max(0, e.bit_length() - 1) + max(0, bin(e).count("1") - 1)
+    assert all(0 not in pair for pair in calls)
 
 
 def test_division_by_zero():
