@@ -3,7 +3,7 @@
 Layers, bottom up:
 
 - :mod:`twistcodes.gf`       exact GF(p^m) arithmetic, norm-map cosets
-- :mod:`twistcodes.poly`     GF(q)[x], factorization of x^n - lambda, CRT idempotents
+- :mod:`twistcodes.poly`     GF(q)[x], factorization of x^n - lambda, primitive idempotents
 - :mod:`twistcodes.talg`     the twisted group algebra F_q^gamma C_n
 - :mod:`twistcodes.codes`    linear/constacyclic codes, duals, LCD, min distance
 - :mod:`twistcodes.discover` ideal-lattice enumeration, LCD search, best-known tables

@@ -1,5 +1,5 @@
 """Univariate polynomials over GF(q), factorization of x^n - lambda, and
-the primitive CRT idempotents of F_q[x]/(x^n - lambda).
+the primitive idempotents of F_q[x]/(x^n - lambda).
 
 Coefficients are stored little-endian as a tuple of integer field
 indices, trimmed so the leading one is nonzero; FieldElem appears only
@@ -14,9 +14,14 @@ characteristic, summed in A by the same map.  The factor list is sorted
 by (degree, coefficient indices), so every downstream enumeration order
 is reproducible.
 `primitive_idempotents` takes that list from its caller, so one
-factorization serves both; the cofactors h_i = (x^n - lam)/f_i come
-from their recurrence, and CRT inverses from the derivative:
-h_i^(-1) = x f_i' (n lam)^(-1) mod f_i.
+factorization serves both.  The idempotent of a factor f of degree d is
+a scaled sequence of the power sums P_k of f's roots,
+e_f = n^(-1) d + (n lam)^(-1) sum_(j=1)^(n-1) P_(n-j) x^j,
+with no cofactor and no inverse modulo f.  Newton's identities, which
+hold in every characteristic, give P_1, ..., P_(n-1) from f's
+coefficients in one recurrence; on fields with a log table a linear
+factor x - a has P_k = a^k, so all linear factors take one gather from
+that table, by the same rule as their roots.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from __future__ import annotations
 import random
 from math import gcd as int_gcd
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     ConstantPolynomial,
@@ -357,22 +364,39 @@ def factor_xn_minus_lambda(field: FieldSpec, n: int, lam: FieldElem) -> list[Pol
     return factors
 
 
-def _cofactor(f: Poly, n: int) -> Poly:
-    """h = (x^n - lam) / f for a monic factor f of x^n - lam, of degree d: the
-    coefficients of x^d, ..., x^(n-1) in f h vanish, so h_j = -sum_(t<d)
-    f_t h_(j+d-t), taken from the top down from h_(n-d) = 1."""
-    F, d = f.field, f.degree
-    ADD, MUL, NEG = F._add, F._mul, F._neg
-    rows = [MUL[NEG[c]] for c in f.indices[:d]]  # -f_0, ..., -f_(d-1)
-    top, lower = rows[-1], rows[:-1]
-    h = [0] * (d - 1) + [1]  # h_(n-d), h_(n-d-1), ... after d - 1 zeros above the top
-    for _ in range(n - d):
-        acc = top[h[-1]]
-        if lower:  # a linear factor has none
-            for row, y in zip(lower, h[-d:-1]):
-                acc = ADD[acc][row[y]]
-        h.append(acc)
-    return Poly.from_indices(F, h[d - 1 :][::-1])
+def _power_sum_row(f: Poly, n: int, lam: FieldElem) -> list[int]:
+    """The n coefficients of the idempotent of the monic factor f of degree d,
+    from the power sums P_k of its roots by Newton's identities, which hold in
+    every characteristic: P_k = -sum_(t=1)^(min(k-1, d)) f_(d-t) P_(k-t) - k f_(d-k),
+    the last term only for k <= d."""
+    F, d, fs = f.field, f.degree, f.indices
+    ADD, MUL, NEG, INV, p = F._add, F._mul, F._neg, F._inv, F.p
+    rows = [MUL[NEG[c]] for c in fs[:d]]  # -f_0, ..., -f_(d-1)
+    P = [0] * d  # P_(1-d), ..., P_0 as zeros: for k <= d the term k f_(d-k) stands in
+    for k in range(1, n):
+        acc = MUL[k % p][NEG[fs[d - k]]] if k <= d else 0
+        for row, y in zip(rows, P[k - 1 :]):
+            acc = ADD[acc][row[y]]
+        P.append(acc)
+    unit = MUL[INV[MUL[n % p][lam.index]]]  # (n lam)^(-1)
+    return [MUL[INV[n % p]][d % p]] + [unit[y] for y in reversed(P[d:])]
+
+
+def _linear_rows(field: FieldSpec, n: int, lam: FieldElem, roots: Sequence[int]) -> np.ndarray:
+    """The idempotents of the linear factors x - a, a in roots, as the rows
+    of an array, on a field with tables: there P_k = a^k, so coefficient
+    j >= 1 is exp[(log (n lam)^(-1) + (n - j) log a) mod (q - 1)], one
+    gather for all rows, and coefficient 0 is n^(-1)."""
+    MUL, INV, p = field._mul, field._inv, field.p
+    log_unit = field.log[INV[MUL[n % p][lam.index]]]
+    log_a = np.array([field.log[a] for a in roots], dtype=np.int64)
+    rows = np.empty((len(roots), n), dtype=np.uint8)
+    rows[:, 0] = INV[n % p]
+    powers = np.outer(log_a, np.arange(n - 1, 0, -1))
+    powers += log_unit
+    powers %= field.q - 1  # log of (n lam)^(-1) a^(n-j), in place to keep one index array
+    rows[:, 1:] = np.asarray(field.exp, dtype=np.uint8)[powers]
+    return rows
 
 
 def primitive_idempotents(
@@ -381,15 +405,29 @@ def primitive_idempotents(
     """The primitive idempotents of F_q[x]/(x^n - lam), one per factor of
     the canonical list factor_xn_minus_lambda returns, in its order.
 
-    e_i = (h_i^{-1} mod f_i) * h_i mod (x^n - lam) with h_i = (x^n - lam)/f_i;
-    they satisfy e_i^2 = e_i, e_i e_j = 0 for i != j, and sum e_i = 1.
+    For a factor f of degree d with power sums P_k of its roots,
+    e_f = n^(-1) d + (n lam)^(-1) sum_(j=1)^(n-1) P_(n-j) x^j: e_f(b) is
+    n^(-1) sum_a sum_(j<n) (b/a)^j over the roots a of f, 1 at the roots of f
+    and 0 at every other root b of x^n - lam, as a^(-j) = a^(n-j)/lam.  On
+    fields with tables the linear factors take one log-table gather
+    (_linear_rows), every other factor Newton's identities (_power_sum_row).
+    The e_i satisfy e_i^2 = e_i, e_i e_j = 0 for i != j, and sum e_i = 1.
     """
-    p, MUL = field.p, field._mul
-    # x^n - lam = f_i h_i differentiated, times x, mod f_i: n lam = x f_i' h_i (p does not divide n)
-    unit = MUL[field._inv[MUL[n % p][lam.index]]]
-    out = []
-    for fi in factors:
-        u = Poly.from_indices(field, [unit[MUL[i % p][c]] for i, c in enumerate(fi.indices)]) % fi
-        out.append(u * _cofactor(fi, n))  # degree < n: already reduced
-    assert sum(out, Poly.zero(field)).is_one(), "by the CRT, sum e_i = 1 iff every inverse is right"
-    return out
+    ADD, rows, total = field._add, {}, [0] * n
+    # x - a with a != 0: the root 0 of x has no log, and x divides no x^n - lam
+    linear = [i for i, f in enumerate(factors) if f.degree == 1 and f.indices[0]]
+    if field.has_tables and linear:
+        block = _linear_rows(field, n, lam, [field._neg[factors[i].indices[0]] for i in linear])
+        rows.update(zip(linear, block.tolist()))
+        while len(block) > 1:  # sum the rows pairwise
+            h = len(block) // 2
+            block = np.concatenate((field.np_add[block[:h], block[h : 2 * h]], block[2 * h :]))
+        total = block[0].tolist()
+    for i, f in enumerate(factors):
+        if i not in rows:
+            rows[i] = _power_sum_row(f, n, lam)
+            total = [ADD[a][b] for a, b in zip(total, rows[i])]
+    # the roots of all factors together have the power sums of x^n - lam,
+    # 0 for 0 < k < n, and degrees adding up to n mod p, iff the sum is 1
+    assert total == [1] + [0] * (n - 1), "sum e_i = 1 iff the factors' roots are those of x^n - lam"
+    return [Poly.from_indices(field, rows[i]) for i in range(len(factors))]

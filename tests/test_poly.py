@@ -9,7 +9,6 @@ from twistcodes.errors import ConstantPolynomial, NotSquarefree, ZeroLambda
 from twistcodes.gf import GF, FieldSpec, prime_factors
 from twistcodes.poly import (
     Poly,
-    _cofactor,
     _ddf,
     _edf,
     _frobenius,
@@ -351,25 +350,6 @@ def test_primitive_idempotents_crt_identities(F, n, lam):
     lam = F.element(lam)
     es = primitive_idempotents(F, n, lam, factor_xn_minus_lambda(F, n, lam))
     _assert_crt_identities(F, n, lam, es)
-
-
-def test_cofactors_by_recurrence_match_division():
-    """_cofactor(f, n) is (x^n - lam) // f for every factor of every context
-    of the acceptance matrix (every unit lam, n = 1 included), and above the
-    table limit."""
-    contexts = [
-        (F, n, F.from_index(i))
-        for F in (F2, F3, F4, F5, F7, GF(9))
-        for n in range(1, 16)
-        if gcd(n, F.p) == 1
-        for i in range(1, F.q)
-    ]
-    big = [(GF(257), 16, 3), (GF(257), 12, 1), (GF(257), 1, 5), (GF(729), 13, (0, 1)), (GF(729), 8, 1)]
-    contexts += [(F, n, F.element(lam)) for F, n, lam in big]
-    for F, n, lam in contexts:
-        M = Poly.xn_minus(F, n, lam)
-        for f in factor_xn_minus_lambda(F, n, lam):
-            assert _cofactor(f, n) == M // f, (F, n, lam, f)
 
 
 def test_factor_above_table_limit_in_characteristic_2():
