@@ -5,6 +5,8 @@ row-echelon generator matrix, so code equality is matrix equality.  The
 matrix kernels (RREF, null space, rank) run on numpy arrays of element
 indices using the field's operation tables, which keeps the ideal sweeps
 and the minimum-distance enumerations fast without any compiled code.
+The idempotent generator of an ideal <g> is that of its check polynomial
+h = (x^n - lam) / g, by poly's one power-sum formula for any monic divisor.
 
 Minimum distance enumerates all q^k codewords when that is small enough,
 and otherwise the messages of one information set in increasing weight,
@@ -50,7 +52,7 @@ from .errors import (
     ZeroLambda,
 )
 from .gf import FieldElem, FieldSpec
-from .poly import Poly
+from .poly import Poly, _power_sum_row
 from .talg import AlgebraCtx, AlgElem, elem_mul, frobenius_twist, involution_star
 
 Vector = tuple[FieldElem, ...]
@@ -255,19 +257,15 @@ def generator_poly(C: LinearCode, ctx: AlgebraCtx) -> Poly:
 
 
 def idempotent_generator(C: LinearCode, ctx: AlgebraCtx) -> AlgElem:
-    """The unique idempotent e with <e> = C, via the CRT section of the
-    generator polynomial: with g h = x^n - lam and u g + v h = 1, the
-    element e = u g mod (x^n - lam)."""
-    if not ctx.semisimple:
+    """The unique idempotent e with <e> = C: that of the check polynomial
+    h = (x^n - lam) / g, 1 at the roots of h and 0 at those of g, from the
+    power sums of h's roots (poly._power_sum_row)."""
+    if not ctx.semisimple:  # the row reads n^(-1), which p | n would leave 0
         raise NotSemisimple(
             f"idempotent generators need gcd(n, p) = 1; n = {ctx.n}, p = {ctx.field.p}"
         )
-    g = generator_poly(C, ctx)
-    modulus = Poly.xn_minus(ctx.field, ctx.n, ctx.lam)
-    h = modulus // g
-    d, u, _ = g.xgcd(h)
-    assert d.is_one(), "generator and cogenerator must be coprime in a semisimple ring"
-    return ctx.from_indices(((u * g) % modulus).indices)
+    h = Poly.xn_minus(ctx.field, ctx.n, ctx.lam) // generator_poly(C, ctx)
+    return ctx.from_indices(_power_sum_row(h, ctx.n, ctx.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +436,15 @@ def _scan(field: FieldSpec, P: np.ndarray, T: np.ndarray, m: int, start: int, bo
     the codeword P[r] + T[:, c].  A batch whose minimum is not below bound
     cannot improve on the best, so it returns None without looking for it.
     """
-    NP, flip = field.np_neg[P].T, len(P) > T.shape[1]  # the longer side runs innermost
-    A, B = (T[:, :, None], NP[:, None]) if flip else (NP[:, :, None], T[:, None])
-    dims = (T.shape[1], len(P)) if flip else (len(P), T.shape[1])
+    NP = field.np_neg[P].T[:, :, None]  # rows of P outside, columns of T inside
     dtype = np.uint8 if start + len(T) < 256 else np.uint16
-    W = np.full(dims, start, dtype=dtype)
+    W = np.full((len(P), T.shape[1]), start, dtype=dtype)
     slab = max(1, 16 * _BLOCK // W.size)  # columns per compare: at most 16 * _BLOCK bools
     for c in range(0, len(T), slab):
-        W += (A[c : c + slab] != B[c : c + slab]).view(np.uint8).sum(axis=0, dtype=dtype)
+        W += (NP[c : c + slab] != T[c : c + slab, None]).view(np.uint8).sum(axis=0, dtype=dtype)
     if int(W.min()) >= bound:
         return None
-    shape, axes = ((-1, m, len(P)), (0, 2, 1)) if flip else ((len(P), -1, m), (1, 0, 2))
-    W = W.reshape(shape).transpose(axes).ravel()
+    W = W.reshape(len(P), -1, m).transpose(1, 0, 2).ravel()
     i = int(W.argmin())
     g, r = divmod(i, len(P) * m)
     return int(W[i]), r // m, g * m + r % m

@@ -14,14 +14,14 @@ characteristic, summed in A by the same map.  The factor list is sorted
 by (degree, coefficient indices), so every downstream enumeration order
 is reproducible.
 `primitive_idempotents` takes that list from its caller, so one
-factorization serves both.  The idempotent of a factor f of degree d is
-a scaled sequence of the power sums P_k of f's roots,
-e_f = n^(-1) d + (n lam)^(-1) sum_(j=1)^(n-1) P_(n-j) x^j,
-with no cofactor and no inverse modulo f.  Newton's identities, which
-hold in every characteristic, give P_1, ..., P_(n-1) from f's
-coefficients in one recurrence; on fields with a log table a linear
-factor x - a has P_k = a^k, so all linear factors take one gather from
-that table, by the same rule as their roots.
+factorization serves both.  One formula, with no cofactor and no inverse,
+gives the idempotent of any monic divisor f of x^n - lam, of degree d,
+irreducible or not (codes applies it to a check polynomial): with P_k the
+power sums of f's roots, e_f = n^(-1) d + (n lam)^(-1) sum_(j>=1) P_(n-j) x^j.
+Newton's identities, which hold in every characteristic, give P_1, ...,
+P_(n-1) from f's coefficients in one recurrence; on fields with a log
+table a linear factor x - a has P_k = a^k, so all linear factors take one
+gather from that table, by the same rule as their roots.
 """
 
 from __future__ import annotations
@@ -365,10 +365,10 @@ def factor_xn_minus_lambda(field: FieldSpec, n: int, lam: FieldElem) -> list[Pol
 
 
 def _power_sum_row(f: Poly, n: int, lam: FieldElem) -> list[int]:
-    """The n coefficients of the idempotent of the monic factor f of degree d,
-    from the power sums P_k of its roots by Newton's identities, which hold in
-    every characteristic: P_k = -sum_(t=1)^(min(k-1, d)) f_(d-t) P_(k-t) - k f_(d-k),
-    the last term only for k <= d."""
+    """The n coefficients of the idempotent of the monic divisor f of x^n - lam
+    of degree d, from the power sums P_k of its roots by Newton's identities,
+    which hold in every characteristic: P_k = -sum_(t=1)^(min(k-1, d))
+    f_(d-t) P_(k-t) - k f_(d-k), the last term only for k <= d; needs gcd(n, p) = 1."""
     F, d, fs = f.field, f.degree, f.indices
     ADD, MUL, NEG, INV, p = F._add, F._mul, F._neg, F._inv, F.p
     rows = [MUL[NEG[c]] for c in fs[:d]]  # -f_0, ..., -f_(d-1)
@@ -428,6 +428,8 @@ def primitive_idempotents(
             rows[i] = _power_sum_row(f, n, lam)
             total = [ADD[a][b] for a, b in zip(total, rows[i])]
     # the roots of all factors together have the power sums of x^n - lam,
-    # 0 for 0 < k < n, and degrees adding up to n mod p, iff the sum is 1
+    # 0 for 0 < k < n, and degrees adding up to n mod p, iff the sum is 1;
+    # a factor listed p more times keeps that sum, but not the degrees' sum n
     assert total == [1] + [0] * (n - 1), "sum e_i = 1 iff the factors' roots are those of x^n - lam"
+    assert sum(f.degree for f in factors) == n, "sum deg f_i = n: no factor is listed twice"
     return [Poly.from_indices(field, rows[i]) for i in range(len(factors))]

@@ -340,8 +340,8 @@ def _scan_by_column(field, P, T, m, start, bound):
     seed=st.integers(0, 2**32),
 )
 def test_scan_matches_column_loop(q, n_rows, groups, m, columns, start, block, bound, seed):
-    """_scan against a column-by-column count: both orientations (more rows
-    of P than columns of T and fewer), the uint16 weights of start +
+    """_scan against a column-by-column count: batches with more rows of P
+    than columns of T and with fewer, the uint16 weights of start +
     columns >= 256, slabs of one column and of all, and the None of a batch
     that cannot beat the bound."""
     F, rng = GF(q), random.Random(seed)

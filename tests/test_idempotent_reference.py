@@ -1,14 +1,22 @@
-"""primitive_idempotents, built from power sums of the factors' roots,
-against a reference construction by the Chinese remainder theorem:
-e_i = (h_i^(-1) mod f_i) h_i with the cofactor h_i = (x^n - lam)/f_i from
-its recurrence and the inverse from the derivative."""
+"""Idempotents built from power sums of roots, against two reference
+constructions by the Chinese remainder theorem.  primitive_idempotents
+against e_i = (h_i^(-1) mod f_i) h_i, with the cofactor h_i = (x^n - lam)/f_i
+from its recurrence and the inverse from the derivative; the idempotent of
+a code, and the power-sum row of any monic divisor, against e = u g mod
+(x^n - lam) with u g + v h = 1, g h = x^n - lam, by the extended Euclidean
+algorithm."""
 
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 import pytest
 
 from twistcodes import poly
+from twistcodes.codes import LinearCode, generator_poly, idempotent_generator
+from twistcodes.discover import iter_ideal_codes
+from twistcodes.errors import NotSemisimple
 from twistcodes.gf import GF
 from twistcodes.poly import (
     Poly,
@@ -18,6 +26,7 @@ from twistcodes.poly import (
     is_irreducible,
     primitive_idempotents,
 )
+from twistcodes.talg import AlgebraCtx
 
 # the contexts of the factor benchmark workload, all at lam = 1
 FACTOR_CONTEXTS = (
@@ -166,3 +175,101 @@ def test_sum_check_fires_on_a_wrong_factor_list(q, n, lam):
             with pytest.raises(AssertionError, match="sum e_i = 1"):
                 primitive_idempotents(F, n, lam, factors[:i] + [g] + factors[i + 1 :])
     assert replaced >= len(factors) - 1
+
+
+@pytest.mark.parametrize(
+    "q,n,lam,f,copies",
+    [(2, 7, 1, (1, 0, 1, 1), 3), (3, 8, 1, (2, 2, 1), 4)],
+)
+def test_degree_check_fires_on_a_repeated_factor(q, n, lam, f, copies):
+    """A factor listed p more times keeps sum e_i = 1, as the sum is linear
+    in characteristic p, but not sum deg f_i = n: x^3 + x^2 + 1 three times
+    over GF(2), x^2 + 2x + 2 four times over GF(3)."""
+    F = GF(q)
+    lam = F.element(lam)
+    factors = factor_xn_minus_lambda(F, n, lam)
+    f = Poly(F, f)
+    assert f in factors
+    with pytest.raises(AssertionError, match="sum deg f_i = n"):
+        primitive_idempotents(F, n, lam, factors + [f] * (copies - 1))
+
+
+def crt_idempotent(g, n, lam):
+    """The idempotent of <g> by the Chinese remainder theorem: with
+    g h = x^n - lam and u g + v h = 1, e = u g mod (x^n - lam)."""
+    modulus = Poly.xn_minus(g.field, n, lam)
+    d, u, _ = g.xgcd(modulus // g)
+    assert d.is_one(), "generator and check polynomial are coprime in a semisimple ring"
+    return (u * g) % modulus
+
+
+def test_idempotent_generator_matches_crt_on_acceptance_matrix():
+    """Every ideal of every acceptance-matrix context, n = 1 and every lam
+    included, the zero and full codes among them: the idempotent of the
+    check polynomial is the CRT idempotent and the lattice's sum of
+    primitive idempotents."""
+    ideals = zeros = fulls = 0
+    for F, n, lam in _contexts((2, 3, 4, 5, 7, 9), range(1, 16)):
+        ctx = AlgebraCtx(F, n, lam)
+        for _, e, C in iter_ideal_codes(ctx):
+            got = idempotent_generator(C, ctx)
+            assert got == e, (F, n, lam, C)
+            assert got == ctx.from_indices(crt_idempotent(generator_poly(C, ctx), n, lam).indices)
+            ideals += 1
+            zeros += C == LinearCode.zero(F, n)
+            fulls += C == LinearCode.full(F, n)
+    assert zeros == fulls == 258 and ideals == 4428
+
+
+@pytest.mark.parametrize("q,n,lam", [(2, 4, 1), (3, 9, 2), (4, 6, 2), (5, 10, 4), (9, 3, 1)])
+def test_idempotent_generator_not_semisimple(q, n, lam):
+    """p | n: the power-sum row would read n^(-1) as 0."""
+    F = GF(q)
+    ctx = AlgebraCtx(F, n, F.from_index(lam))
+    for C in (LinearCode.zero(F, n), LinearCode.full(F, n)):
+        with pytest.raises(NotSemisimple):
+            idempotent_generator(C, ctx)
+
+
+def _product(fs, F):
+    return reduce(mul, fs, Poly.one(F))
+
+
+def _products(factors, sizes):
+    """The products of the subsets of factors of each size in sizes."""
+    for size in sizes:
+        yield from (_product(sub, factors[0].field) for sub in combinations(factors, size))
+
+
+@pytest.mark.parametrize("q,n,lam", [(257, 16, 1), (512, 21, 1)])
+def test_power_sum_row_matches_crt_above_256(q, n, lam):
+    """Where no code can be built, the row of a divisor h is the CRT
+    idempotent of <g>, g = (x^n - lam) / h, on a slice of the divisors: the
+    products of at most two factors, of all but one, and of all."""
+    F = GF(q)
+    lam = F.element(lam)
+    factors = factor_xn_minus_lambda(F, n, lam)
+    r = len(factors)
+    modulus = Poly.xn_minus(F, n, lam)
+    for h in _products(factors, (0, 1, 2, r - 1, r)):
+        got = Poly.from_indices(F, _power_sum_row(h, n, lam))
+        assert got == crt_idempotent(modulus // h, n, lam), (q, n, h)
+
+
+@pytest.mark.parametrize("q,n,lam", [(2, 15, 1), (4, 15, 2), (9, 8, 2), (257, 16, 1)])
+def test_power_sum_row_is_additive(q, n, lam):
+    """e_(h1 h2) = e_h1 + e_h2 for coprime divisors h1, h2: every pair of
+    disjoint nonempty sets of at most two of the first six factors; lam is
+    an index."""
+    F = GF(q)
+    lam = F.from_index(lam)
+    factors = factor_xn_minus_lambda(F, n, lam)[:6]
+    assert len(factors) >= 3
+    subsets = [set(s) for size in (1, 2) for s in combinations(range(len(factors)), size)]
+    for s1, s2 in product(subsets, repeat=2):
+        if s1 & s2:
+            continue
+        h1, h2 = (_product([factors[i] for i in s], F) for s in (s1, s2))
+        row1, row2 = _power_sum_row(h1, n, lam), _power_sum_row(h2, n, lam)
+        total = [(F.from_index(a) + F.from_index(b)).index for a, b in zip(row1, row2)]
+        assert _power_sum_row(h1 * h2, n, lam) == total, (q, n, h1, h2)
