@@ -24,8 +24,8 @@ above 256 the list tables are stand-ins that call them when read, and
 when it is built (`has_tables`), and owns the Frobenius powers of index
 sequences and the check of the Galois parameter 0 <= k < m.
 Prime fields work with integers mod p throughout.  The modulus search
-and validation use :mod:`twistcodes.poly` over GF(p); each seeded
-search runs once per process.
+and validation use :mod:`twistcodes.poly` over GF(p); each seeded search
+runs, and `GF` builds each field of one modulus, once per process.
 
 Fields are immutable after construction and safe to share; all element
 operations are pure.
@@ -83,16 +83,30 @@ def prime_factors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _prime_field(p: int) -> "FieldSpec":
-    """GF(p), shared within the process: fields are immutable."""
-    return FieldSpec(p)
+def _field(p: int, m: int, modulus: tuple[int, ...]) -> "FieldSpec":
+    """GF(p^m) of a resolved modulus (_modulus), one per process: fields are immutable."""
+    return FieldSpec(p, m, modulus)
+
+
+def _modulus(p: int, m: int, modulus: Optional[Sequence[int]], seed: int) -> tuple[int, ...]:
+    """The modulus of GF(p^m): x for m = 1, else the given one or the seeded
+    search's.  A given modulus is validated first, also for m = 1."""
+    if modulus is not None:
+        mod = [c % p for c in modulus]
+        if len(mod) != m + 1 or mod[-1] != 1:
+            raise DegreeMismatch(f"modulus must be monic of degree {m}, got {list(modulus)}")
+        if m > 1 and not _is_irreducible(p, mod):
+            raise ReducibleModulus(f"modulus {mod} is reducible over GF({p})")
+    if m == 1:
+        return (0, 1)  # elements are residues mod p, whatever x + c was given
+    return _find_irreducible(p, m, seed) if modulus is None else tuple(mod)
 
 
 def _is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
     """Irreducibility over GF(p) of the monic little-endian coeffs, degree >= 2."""
     from .poly import Poly, is_irreducible  # poly imports gf
 
-    return is_irreducible(Poly.from_indices(_prime_field(p), coeffs))
+    return is_irreducible(Poly.from_indices(_field(p, 1, (0, 1)), coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -238,18 +252,7 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.q = p**m
-        if modulus is not None:
-            mod = [c % p for c in modulus]
-            if len(mod) != m + 1 or mod[-1] != 1:
-                raise DegreeMismatch(
-                    f"modulus must be monic of degree {m}, got {list(modulus)}"
-                )
-            if m > 1 and not _is_irreducible(p, mod):
-                raise ReducibleModulus(f"modulus {mod} is reducible over GF({p})")
-        if m == 1:
-            self.modulus = (0, 1)  # elements are residues mod p, whatever x + c was given
-        else:
-            self.modulus = _find_irreducible(p, m, seed) if modulus is None else tuple(mod)
+        self.modulus = _modulus(p, m, modulus, seed)
 
         self._reduction = self._reduction_rows() if m > 1 else None
         self.np_add = self.np_mul = self.np_neg = self.np_inv = self.np_frob = None
@@ -338,7 +341,7 @@ class FieldSpec:
         # extended Euclid over GF(p): the cofactor of i against the modulus
         from .poly import Poly  # poly imports gf
 
-        Fp = _prime_field(self.p)
+        Fp = _field(self.p, 1, (0, 1))
         u = Poly.from_indices(Fp, self._coeffs_of(i)).xgcd(Poly.from_indices(Fp, self.modulus))[1]
         return self._index_of(u.indices)
 
@@ -496,21 +499,18 @@ class FieldSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FieldSpec":
-        return cls(d["p"], d["m"], d["modulus"])
+        """The shared field of GF, for the dict of any field."""
+        return _field(d["p"], d["m"], _modulus(d["p"], d["m"], d["modulus"], 0))
 
 
 def GF(q: int, modulus=None, seed: int = 0) -> FieldSpec:
-    """GF(q) for a prime power q, factoring q into p^m."""
-    for p in prime_factors(q):
-        m = 0
-        t = q
-        while t % p == 0:
-            t //= p
-            m += 1
-        if t != 1:
-            raise NonPrime(f"q = {q} is not a prime power")
-        return FieldSpec(p, m, modulus=modulus, seed=seed)
-    raise NonPrime(f"q = {q} is not a prime power")
+    """GF(q) for a prime power q = p^m: the process's one field of the modulus
+    given or, without one, picked by the seed."""
+    ps = prime_factors(q)
+    if len(ps) != 1:
+        raise NonPrime(f"q = {q} is not a prime power")
+    m = next(m for m in range(1, q) if ps[0] ** m == q)
+    return _field(ps[0], m, _modulus(ps[0], m, modulus, seed))
 
 
 def nth_power_witness(
@@ -531,7 +531,7 @@ def norm_image_classes(field: FieldSpec, n: int) -> tuple[int, list[FieldElem]]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    image = {(field.from_index(i) ** n).index for i in range(1, field.q)}
+    image = field.nth_roots((field.q - 1) // gcd(n, field.q - 1), 1)  # the n-th powers
     seen: set[int] = set()
     reps: list[FieldElem] = []
     for i in range(1, field.q):

@@ -5,12 +5,12 @@ Coefficients are stored little-endian as a tuple of integer field
 indices, trimmed so the leading one is nonzero; FieldElem appears only
 at the boundary.  Each operation binds the field's operation tables once
 and loops over indices.  x^n - lam is factored in A = F_q[x]/(x^n - lam),
-whose p-th power map permutes the monomials, each scaled by a power of
-lam.  Distinct-degree factorization raises to the q-th power by it; on
+whose p-th and q-th power maps permute the monomials, each scaled by a
+power of lam (_substitution).  Distinct-degree factorization uses the q-th; on
 fields with a log table (q <= 256) the linear part splits into x - a for
 the n-th roots a of lam, read from that table, and every other part by
 Cantor-Zassenhaus splitting, by the absolute trace in every
-characteristic, summed in A by the same map.  The factor list is sorted
+characteristic, summed in A by the p-th.  The factor list is sorted
 by (degree, coefficient indices), so every downstream enumeration order
 is reproducible.
 `primitive_idempotents` takes that list from its caller, so one
@@ -288,29 +288,33 @@ def _ddf(f: Poly, qth) -> list[tuple[Poly, int]]:
     return out
 
 
-def _frobenius(field: FieldSpec, n: int, lam: FieldElem):
-    """power(t, j) = t^(p^j) in A = F_q[x]/(x^n - lam), p the characteristic,
-    on index lists of length <= n, as a list of length n: x^n = lam gives
-    (c x^i)^p = c^p lam^(p i // n) x^(p i % n), a permutation of the monomials
-    as gcd(n, p) = 1, and power holds mod every factor of x^n - lam."""
-    p, MUL, FROB = field.p, field._mul, field._frob
-    moves = [(p * i % n, MUL[field.pow_index(lam.index, p * i // n)]) for i in range(n)]
+def _substitution(field: FieldSpec, n: int, lam: FieldElem, a: int, u: int = 1, frob: bool = False):
+    """t(x) -> t'(u x^a) in A = F_q[x]/(x^n - lam), t' = t or, if frob, t with
+    its coefficients' p-th powers; u is a unit index.  On index lists of length
+    <= n: c x^i -> c u^i lam^(a i // n) x^(a i % n), a permutation of the monomials
+    as gcd(a, n) = 1, with one more lam in the scale when a i % n + a % n >= n."""
+    assert int_gcd(a, n) == 1, "x -> u x^a permutes the monomials iff gcd(a, n) = 1"
+    MUL, r, moves, at, scale = field._mul, a % n, [], 0, 1
+    step = MUL[u][field.pow_index(lam.index, a // n)]
+    for _ in range(n):
+        moves.append((at, MUL[scale]))
+        scale = MUL[MUL[scale][step]][lam.index if at + r >= n else 1]
+        at = (at + r) % n
+    coef = field._frob if frob else range(field.q)
 
-    def power(t: Sequence[int], j: int = 1) -> list[int]:
-        for _ in range(j):
-            out = [0] * n
-            for c, (at, row) in zip(t, moves):
-                out[at] = row[FROB[c]]
-            t = out
-        return t
+    def apply(t: Sequence[int]) -> list[int]:
+        out = [0] * n
+        for c, (at, row) in zip(t, moves):
+            out[at] = row[coef[c]]
+        return out
 
-    return power
+    return apply
 
 
 def _edf(f: Poly, d: int, rng: random.Random, power) -> list[Poly]:
     """Cantor-Zassenhaus equal-degree splitting: f is a monic squarefree
     product of irreducibles, all of degree d, dividing x^n - lam, and power
-    is the p-th power map of F_q[x]/(x^n - lam) (_frobenius).  A random r of
+    is the p-th power map of F_q[x]/(x^n - lam) (_substitution).  A random r of
     degree < deg f has, modulo each factor, an absolute trace T in GF(p),
     summed in that algebra and reduced mod f once; f splits by gcd(T, f)
     for p = 2, or by gcd(T^((p-1)/2) - 1, f)."""
@@ -350,9 +354,10 @@ def factor_xn_minus_lambda(field: FieldSpec, n: int, lam: FieldElem) -> list[Pol
         )
     f = Poly.xn_minus(field, n, lam)
     rng = random.Random((field.q << 24) ^ (n << 12) ^ lam.index)
-    power = _frobenius(field, n, lam)
+    power = _substitution(field, n, lam, field.p, frob=True)
+    qth = _substitution(field, n, lam, field.q)  # c^q = c on GF(q)
     factors: list[Poly] = []
-    for part, d in _ddf(f, lambda g, _: Poly.from_indices(field, power(g.indices, field.m))):
+    for part, d in _ddf(f, lambda g, _: Poly.from_indices(field, qth(g.indices))):
         if d == 1 and field.has_tables:
             roots = field.nth_roots(n, lam.index)
             # distinct roots, each a root of part: as many as deg part means the same set

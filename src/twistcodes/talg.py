@@ -26,7 +26,7 @@ from .errors import (
     ZeroLambda,
 )
 from .gf import FieldElem, FieldSpec, nth_power_witness
-from .poly import Poly, _terms
+from .poly import Poly, _substitution, _terms
 
 MAX_N = 255
 
@@ -207,19 +207,17 @@ def elem_mul(a: AlgElem, b: AlgElem) -> AlgElem:
 def involution_star(a: AlgElem) -> AlgElem:
     """The classical involution sum c_i gbar^i -> sum c_i (gbar^i)^(-1).
 
-    Since (gbar^i)^(-1) = lam^(-1) gbar^(n-i) for i >= 1, the coefficient
-    at n-i becomes lam^(-1) c_i.  Only defined when lam^2 = 1; otherwise
-    the map would fail to be an involution.
+    Since (gbar^i)^(-1) = lam^(-1) gbar^(n-i) = (lam^(-1) gbar^(n-1))^i, it is
+    the substitution gbar -> lam^(-1) gbar^(n-1).  Only defined when lam^2 = 1;
+    otherwise the map would fail to be an involution.
     """
     ctx = a.ctx
     if not ctx.has_involution:
         raise InvolutionUndefined(
             f"classical involution needs lam^2 = 1; lam = {ctx.lam} over GF({ctx.field.q})"
         )
-    row = ctx.field._mul[ctx.lam.index]  # lam^2 = 1, so lam^(-1) = lam
-    x = a.indices
-    # position n - i takes lam^(-1) c_i: the tail reversed and scaled
-    return AlgElem(ctx, (x[0],) + tuple(row[c] for c in reversed(x[1:])))
+    star = _substitution(ctx.field, ctx.n, ctx.lam, ctx.n - 1, ctx.field._inv[ctx.lam.index])
+    return AlgElem(ctx, tuple(star(a.indices)))
 
 
 def frobenius_twist(a: AlgElem, k: int) -> AlgElem:
@@ -319,7 +317,7 @@ def equivalence_witness(
 
 def apply_isometry(a: AlgElem, witness: FieldElem, target: AlgebraCtx) -> AlgElem:
     """Map the lam-algebra to the beta-algebra along a witness of
-    lam = witness^n * beta: coefficient c_i goes to c_i * witness^i.
+    lam = witness^n * beta: gbar -> witness gbar, so c_i goes to c_i * witness^i.
 
     The map is a ring isomorphism and preserves Hamming weight.
     """
@@ -330,9 +328,5 @@ def apply_isometry(a: AlgElem, witness: FieldElem, target: AlgebraCtx) -> AlgEle
         raise InvalidWitness(
             f"witness {witness} does not satisfy lam = a^{ctx.n} * beta"
         )
-    MUL, w = ctx.field._mul, witness.index
-    out, scale = [], 1
-    for c in a.indices:
-        out.append(MUL[c][scale])
-        scale = MUL[scale][w]
-    return AlgElem(target, tuple(out))
+    shift = _substitution(ctx.field, ctx.n, ctx.lam, 1, witness.index)
+    return AlgElem(target, tuple(shift(a.indices)))

@@ -59,6 +59,19 @@ def test_modulus_search_deterministic():
     assert a == b
 
 
+def test_gf_shares_one_field_per_modulus():
+    assert GF(9) is GF(9)
+    assert GF(7, modulus=(3, 1)) is GF(7)  # keyed on the resolved modulus x
+    # fifty seeds meet at most the three monic irreducible quadratics over GF(3)
+    fields = [GF(9, seed=s) for s in range(50)]
+    assert len({id(F) for F in fields}) == len({F.modulus for F in fields}) <= 3
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(ReducibleModulus):
+            GF(9, modulus=[2, 0, 1])
+    for F in (GF(3), GF(8, seed=1), GF(729)):
+        assert FieldSpec.from_dict(F.to_dict()) is F
+
+
 def test_basic_arith_frozen_values():
     # 2 * 2 = 4 = 1 mod 3
     assert F3.element(2).inverse() == F3.element(2)

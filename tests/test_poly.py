@@ -11,7 +11,7 @@ from twistcodes.poly import (
     Poly,
     _ddf,
     _edf,
-    _frobenius,
+    _substitution,
     factor_xn_minus_lambda,
     is_irreducible,
     primitive_idempotents,
@@ -266,7 +266,7 @@ def test_linear_factors_from_roots_match_splitting(F):
                 assert linear == [], (n, li)  # so the root route is never taken
                 continue
             got = [f for f in factor_xn_minus_lambda(F, n, lam) if f.degree == 1]
-            split = _edf(linear[0], 1, rng, _frobenius(F, n, lam))
+            split = _edf(linear[0], 1, rng, _substitution(F, n, lam, F.p, frob=True))
             assert got == sorted(split, key=Poly.key), (n, li)
 
 
@@ -298,7 +298,7 @@ class _Split(Exception):
 @pytest.mark.parametrize("q", DDF_QS)
 def test_ddf_by_algebra_frobenius_matches_pow_mod(q, monkeypatch):
     """The distinct-degree split factor_xn_minus_lambda takes of x^n - lam,
-    driven by the p-th power map of F_q[x]/(x^n - lam), is the split that
+    driven by the q-th power map x -> x^q of F_q[x]/(x^n - lam), is the split that
     square and multiply mod each remaining part gives, for every n < 40
     coprime to p and several lam.  The spy stops the call after the split."""
 

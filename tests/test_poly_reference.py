@@ -3,6 +3,7 @@ computes every coefficient from base-p digits, independently of the field's
 operation tables."""
 
 import functools
+from math import gcd
 
 import pytest
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from twistcodes.gf import GF  # noqa: E402
-from twistcodes.poly import Poly, _frobenius  # noqa: E402
+from twistcodes.poly import Poly, _substitution  # noqa: E402
 
 # prime and extension fields with tables, and the scalar paths above 256
 DIFF_QS = (2, 3, 7, 4, 8, 9, 16, 25, 256, 257, 729)
@@ -159,14 +160,39 @@ POWER_QS = (2, 3, 4, 5, 7, 9, 25, 27, 49, 256, 257, 512, 729)
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_algebra_frobenius_matches_pow_mod(data):
-    """The p-th power map of F_q[x]/(x^n - lam) raises to the p-th power
-    exactly as t.pow_mod(p, x^n - lam) does, and its m-fold to the q-th, in
-    every field of POWER_QS, for n coprime to p, a unit lam and deg t < n."""
+    """The p-th power map of F_q[x]/(x^n - lam), x -> x^p on the coefficients'
+    p-th powers, raises to the p-th power exactly as t.pow_mod(p, x^n - lam)
+    does, and x -> x^q to the q-th, in every field of POWER_QS, for n coprime
+    to p, a unit lam and deg t < n."""
     for q in POWER_QS:
         F = _fields(q)[0]
         n = data.draw(st.integers(1, 30).filter(lambda n: n % F.p), label="n")
         lam = F.from_index(data.draw(st.integers(1, q - 1), label="lam"))
         t = Poly.from_indices(F, data.draw(st.lists(st.integers(0, q - 1), max_size=n), label="t"))
-        power, xn = _frobenius(F, n, lam), Poly.xn_minus(F, n, lam)
+        power, xn = _substitution(F, n, lam, F.p, frob=True), Poly.xn_minus(F, n, lam)
         assert Poly.from_indices(F, power(t.indices)) == t.pow_mod(F.p, xn)
-        assert Poly.from_indices(F, power(t.indices, F.m)) == t.pow_mod(q, xn)
+        qth = _substitution(F, n, lam, q)
+        assert Poly.from_indices(F, qth(t.indices)) == t.pow_mod(q, xn)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_substitution_matches_pow_mod(data):
+    """t(x) -> t'(u x^a), t' = t or its coefficients' p-th powers, equals
+    sum_i t'_i (u x^a)^i reduced mod x^n - lam by Poly, for a unit u and
+    0 <= a <= 3n coprime to n: the callers' (a, u) are (p, 1), (q, 1),
+    (n - 1, lam^(-1)) and (1, witness), and a >= n carries powers of lam."""
+    for q in POWER_QS:
+        F = _fields(q)[0]
+        n = data.draw(st.sampled_from((1, 2, 3, 7, 12, 30)).filter(lambda n: n % F.p), label="n")
+        a = data.draw(st.integers(0, 3 * n).filter(lambda a: gcd(a, n) == 1), label="a")
+        lam, u = (F.from_index(data.draw(st.integers(1, q - 1))) for _ in range(2))
+        t = data.draw(st.lists(st.integers(0, q - 1), max_size=n), label="t")
+        xn = Poly.xn_minus(F, n, lam)
+        y = Poly.x(F).pow_mod(a, xn)._scale(u.index)  # u x^a mod x^n - lam
+        for frob in (False, True):
+            want, y_i = Poly.zero(F), Poly.one(F) % xn
+            for c in t:
+                want, y_i = want + y_i._scale(F._frob[c] if frob else c), (y_i * y) % xn
+            got = _substitution(F, n, lam, a, u.index, frob)(t)
+            assert Poly.from_indices(F, got) == want, (q, n, a, u, frob)
