@@ -25,7 +25,8 @@ when it is built (`has_tables`), and owns the Frobenius powers of index
 sequences and the check of the Galois parameter 0 <= k < m.
 Prime fields work with integers mod p throughout.  The modulus search
 and validation use :mod:`twistcodes.poly` over GF(p); each seeded search
-runs, and `GF` builds each field of one modulus, once per process.
+and each modulus's test run, `GF` builds each field of one modulus, and
+`embedding` maps a field into an extension with tables, once per process.
 
 Fields are immutable after construction and safe to share; all element
 operations are pure.
@@ -34,7 +35,7 @@ operations are pure.
 from __future__ import annotations
 
 import random
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from math import gcd
 from typing import Optional, Sequence, Union
 
@@ -92,17 +93,18 @@ def _modulus(p: int, m: int, modulus: Optional[Sequence[int]], seed: int) -> tup
     """The modulus of GF(p^m): x for m = 1, else the given one or the seeded
     search's.  A given modulus is validated first, also for m = 1."""
     if modulus is not None:
-        mod = [c % p for c in modulus]
+        mod = tuple(c % p for c in modulus)
         if len(mod) != m + 1 or mod[-1] != 1:
             raise DegreeMismatch(f"modulus must be monic of degree {m}, got {list(modulus)}")
         if m > 1 and not _is_irreducible(p, mod):
-            raise ReducibleModulus(f"modulus {mod} is reducible over GF({p})")
+            raise ReducibleModulus(f"modulus {list(mod)} is reducible over GF({p})")
     if m == 1:
         return (0, 1)  # elements are residues mod p, whatever x + c was given
-    return _find_irreducible(p, m, seed) if modulus is None else tuple(mod)
+    return _find_irreducible(p, m, seed) if modulus is None else mod
 
 
-def _is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
+@lru_cache(maxsize=None)
+def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     """Irreducibility over GF(p) of the monic little-endian coeffs, degree >= 2."""
     from .poly import Poly, is_irreducible  # poly imports gf
 
@@ -115,11 +117,11 @@ def _find_irreducible(p: int, m: int, seed: int) -> tuple[int, ...]:
     a pure function of its arguments, so each search runs once per process."""
     rng = random.Random(seed * 0x9E3779B1 + p * 1315423911 + m)
     while True:
-        coeffs = [rng.randrange(p) for _ in range(m)] + [1]
+        coeffs = tuple(rng.randrange(p) for _ in range(m)) + (1,)
         if coeffs[0] == 0:
             continue  # x | f, never irreducible for m > 1
         if _is_irreducible(p, coeffs):
-            return tuple(coeffs)
+            return coeffs
 
 
 def _power(x, e: int, one, mul):
@@ -511,6 +513,24 @@ def GF(q: int, modulus=None, seed: int = 0) -> FieldSpec:
         raise NonPrime(f"q = {q} is not a prime power")
     m = next(m for m in range(1, q) if ps[0] ** m == q)
     return _field(ps[0], m, _modulus(ps[0], m, modulus, seed))
+
+
+@lru_cache(maxsize=None)
+def embedding(F: FieldSpec, E: FieldSpec) -> tuple[int, ...]:
+    """emb[i] is the index in E, an extension of F with tables, of the element
+    c_0 + c_1 x + ... of index i in F: c_0 + c_1 b + ... for b the least-index
+    root in E of F's modulus, so any modulus works on either side; it is the
+    identity when E is F (b = x) or F is prime (b = 0).  One map per field
+    pair: fields are immutable."""
+    ADD, MUL = E._add, E._mul
+
+    def value(cs: Sequence[int], b: int) -> int:  # sum c_j b^j in E by Horner, c_j in GF(p)
+        return reduce(lambda acc, c: ADD[MUL[acc][b]][c], reversed(cs), 0)
+
+    b = next(b for b in range(E.q) if not value(F.modulus, b))
+    emb = tuple(value(F._digits[i], b) for i in range(F.q))
+    assert len(set(emb)) == F.q, "a ring map out of a field is injective"
+    return emb
 
 
 def nth_power_witness(

@@ -6,10 +6,11 @@ indices, trimmed so the leading one is nonzero; FieldElem appears only
 at the boundary.  Each operation binds the field's operation tables once
 and loops over indices.  x^n - lam is factored in A = F_q[x]/(x^n - lam),
 whose p-th and q-th power maps permute the monomials, each scaled by a
-power of lam (_substitution).  Distinct-degree factorization uses the q-th; on
-fields with a log table (q <= 256) the linear part splits into x - a for
-the n-th roots a of lam, read from that table, and every other part by
-Cantor-Zassenhaus splitting, by the absolute trace in every
+power of lam (_substitution).  Distinct-degree factorization uses the q-th.
+Its part of degree d, when q^d <= 256, splits into the products of x - r
+over the orbits r, r^q, ... of size d of the n-th roots of lam in GF(q^d),
+read from that field's log table and mapped back by `gf.embedding`; every
+other part by Cantor-Zassenhaus splitting, by the absolute trace in every
 characteristic, summed in A by the p-th.  The factor list is sorted
 by (degree, coefficient indices), so every downstream enumeration order
 is reproducible.
@@ -38,7 +39,7 @@ from .errors import (
     NotSquarefree,
     ZeroLambda,
 )
-from .gf import FieldElem, FieldSpec, _power
+from .gf import GF, TABLE_LIMIT, FieldElem, FieldSpec, _power, embedding
 
 
 class Poly:
@@ -334,15 +335,37 @@ def _edf(f: Poly, d: int, rng: random.Random, power) -> list[Poly]:
     return _edf(g, d, rng, power) + _edf(f // g, d, rng, power)
 
 
+def _root_orbits(field: FieldSpec, n: int, lam: FieldElem, d: int) -> list[Poly]:
+    """The irreducible factors of degree d of x^n - lam, for q^d <= 256: the
+    products of x - r over the orbits r, r^q, ..., of size d, of the n-th
+    roots of lam in E = GF(q^d), each coefficient mapped back into GF(q)."""
+    E = GF(field.q**d) if d > 1 else field
+    emb = embedding(field, E)
+    back = {e: i for i, e in enumerate(emb)}
+    ADD, MUL, NEG, u = E._add, E._mul, E._neg, E.q - 1
+    out = []
+    for L in map(E.log.__getitem__, E.nth_roots(n, emb[lam.index])):
+        orbit = [L]  # the logs of r^(q^j): L q^j mod q^d - 1
+        while (k := orbit[-1] * field.q % u) != L:
+            orbit.append(k)
+        if len(orbit) == d and L == min(orbit):  # each orbit once, at its least log
+            f = [1]
+            for k in orbit:  # f (x - r), r = exp[k]
+                row = MUL[NEG[E.exp[k]]]
+                f = [ADD[a][row[b]] for a, b in zip([0] + f, f + [0])]
+            out.append(Poly.from_indices(field, [back[c] for c in f]))  # KeyError: not in GF(q)
+    return out
+
+
 def factor_xn_minus_lambda(field: FieldSpec, n: int, lam: FieldElem) -> list[Poly]:
     """The distinct monic irreducible factors of x^n - lam, sorted by
     (degree, coefficient order).
 
-    Requires gcd(n, p) = 1 so the polynomial is squarefree.  On fields
-    with tables (q <= 256) the linear factors are x - a for the roots a
-    that `FieldSpec.nth_roots` reads from the log table, and CZ splitting,
-    with random draws fixed by (field, n, lam), acts only on the parts of
-    degree >= 2; above q = 256 it splits every part.
+    Requires gcd(n, p) = 1 so the polynomial is squarefree.  Each part
+    of degree d of the distinct-degree split with q^d <= 256 gives its
+    factors from the Frobenius orbits of the roots in GF(q^d) (_root_orbits),
+    and CZ splitting, with random draws fixed by (field, n, lam), acts only
+    on the parts with q^d > 256: on every part above q = 256.
     """
     if lam.is_zero():
         raise ZeroLambda("lambda must be a nonzero field element")
@@ -358,11 +381,11 @@ def factor_xn_minus_lambda(field: FieldSpec, n: int, lam: FieldElem) -> list[Pol
     qth = _substitution(field, n, lam, field.q)  # c^q = c on GF(q)
     factors: list[Poly] = []
     for part, d in _ddf(f, lambda g, _: Poly.from_indices(field, qth(g.indices))):
-        if d == 1 and field.has_tables:
-            roots = field.nth_roots(n, lam.index)
-            # distinct roots, each a root of part: as many as deg part means the same set
-            assert len(roots) == part.degree, "the linear part is the product of x - a, a^n = lam"
-            factors.extend(Poly.from_indices(field, (field._neg[a], 1)) for a in roots)
+        if field.q**d <= TABLE_LIMIT:  # E = GF(q^d) has a log table
+            found = _root_orbits(field, n, lam, d)
+            # distinct factors, each dividing part: degrees summing to deg part give part
+            assert sum(g.degree for g in found) == part.degree, "part is the orbits' product"
+            factors.extend(found)
         else:
             factors.extend(_edf(part, d, rng, power))
     factors.sort(key=Poly.key)

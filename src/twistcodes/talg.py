@@ -14,6 +14,7 @@ Contexts and elements are immutable; everything here is pure.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence, Union
 
@@ -50,6 +51,12 @@ class AlgebraCtx:
         self.lam = lam
         self.semisimple = gcd(n, field.p) == 1
         self.has_involution = lam * lam == field.one
+
+    @cached_property
+    def _star(self):
+        """The substitution of involution_star, built on its first call."""
+        F = self.field
+        return _substitution(F, self.n, self.lam, self.n - 1, F._inv[self.lam.index])
 
     def dual_constant(self, k: int) -> FieldElem:
         """lam^(-p^(m-k)): the k-Galois dual of a lam-constacyclic code is
@@ -216,8 +223,7 @@ def involution_star(a: AlgElem) -> AlgElem:
         raise InvolutionUndefined(
             f"classical involution needs lam^2 = 1; lam = {ctx.lam} over GF({ctx.field.q})"
         )
-    star = _substitution(ctx.field, ctx.n, ctx.lam, ctx.n - 1, ctx.field._inv[ctx.lam.index])
-    return AlgElem(ctx, tuple(star(a.indices)))
+    return AlgElem(ctx, tuple(ctx._star(a.indices)))
 
 
 def frobenius_twist(a: AlgElem, k: int) -> AlgElem:

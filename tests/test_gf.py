@@ -1,8 +1,10 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
+from twistcodes import gf, poly
 from twistcodes.errors import (
     DegreeMismatch,
     FieldMismatch,
@@ -10,7 +12,15 @@ from twistcodes.errors import (
     ReducibleModulus,
     ZeroTarget,
 )
-from twistcodes.gf import GF, FieldSpec, _power, norm_image_classes, nth_power_witness
+from twistcodes.gf import (
+    GF,
+    FieldSpec,
+    _power,
+    embedding,
+    norm_image_classes,
+    nth_power_witness,
+    prime_factors,
+)
 
 F3 = GF(3)
 F5 = GF(5)
@@ -70,6 +80,66 @@ def test_gf_shares_one_field_per_modulus():
             GF(9, modulus=[2, 0, 1])
     for F in (GF(3), GF(8, seed=1), GF(729)):
         assert FieldSpec.from_dict(F.to_dict()) is F
+
+
+def test_explicit_modulus_is_tested_once(monkeypatch):
+    """Repeated GF calls with one explicit modulus run its irreducibility test
+    once, the build included; a reducible modulus still raises every time."""
+    tested = []
+
+    def spy(f, test=poly.is_irreducible):
+        tested.append(f.indices)
+        return test(f)
+
+    monkeypatch.setattr(poly, "is_irreducible", spy)
+    gf._is_irreducible.cache_clear()
+    aes = (1, 1, 0, 1, 1, 0, 0, 0, 1)
+    for _ in range(3):
+        F = GF(9, modulus=[1, 0, 1])
+        assert F is GF(9, modulus=(4, 3, 1)) is FieldSpec.from_dict(F9.to_dict())
+        assert GF(256, modulus=aes).modulus == aes
+    assert tested == [(1, 0, 1), aes]
+    for _ in range(3):
+        with pytest.raises(ReducibleModulus):
+            GF(9, modulus=[2, 0, 1])
+    assert tested == [(1, 0, 1), aes, (2, 0, 1)]
+
+
+def _avoiding(q, *taken):
+    """GF(q) under the first seeded modulus (seeds 1 to 39) not taken, else seed 0's."""
+    F = GF(q)
+    seeded = (gf._find_irreducible(F.p, F.m, s) for s in range(1, 40))
+    return GF(q, modulus=next((mod for mod in seeded if mod not in taken), F.modulus))
+
+
+# (F, E) with F non-prime and E = GF(q^d) up to 256, under moduli other than
+# seed 0's on both sides, and for d = 1 other than F's, wherever there are others
+EMBED_PAIRS = [
+    (F, _avoiding(q**d, GF(q**d).modulus, F.modulus))
+    for q in range(4, 257)
+    if len(prime_factors(q)) == 1 and q not in prime_factors(q)
+    for F in [_avoiding(q, GF(q).modulus)]
+    for d in range(1, 9)
+    if q**d <= 256
+]
+
+
+@pytest.mark.parametrize("F,E", EMBED_PAIRS, ids=repr)
+def test_embedding_is_an_injective_ring_map(F, E):
+    """emb(a + b) = emb(a) + emb(b) and emb(a b) = emb(a) emb(b) for all pairs
+    a, b, emb(1) = 1, and no two indices share an image."""
+    emb = np.array(embedding(F, E))
+    assert emb[1] == 1 and len(set(emb.tolist())) == F.q
+    assert (E.np_add[emb[:, None], emb] == emb[F.np_add]).all()
+    assert (E.np_mul[emb[:, None], emb] == emb[F.np_mul]).all()
+    assert embedding(F, E) is embedding(F, E)  # one map per field pair
+
+
+def test_embedding_is_the_identity_on_itself_and_prime_fields():
+    for F in (GF(4), GF(9, seed=1), GF(256), GF(27)):
+        assert embedding(F, F) == tuple(range(F.q))
+    for p, E in ((2, GF(256)), (3, GF(243, seed=1)), (5, GF(125)), (13, GF(169))):
+        assert embedding(GF(p), E) == tuple(range(p))
 
 
 def test_basic_arith_frozen_values():

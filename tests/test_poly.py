@@ -11,6 +11,7 @@ from twistcodes.poly import (
     Poly,
     _ddf,
     _edf,
+    _root_orbits,
     _substitution,
     factor_xn_minus_lambda,
     is_irreducible,
@@ -286,6 +287,59 @@ def _qth_rows(f):
     for _ in range(1, f.degree):
         rows.append((rows[-1] * xq) % f)
     return rows
+
+
+# Every table field at seeds 0 and 1 (a prime field is the same object at both)
+ORBIT_FIELDS = list({id(F): F for q in range(2, 257) if len(prime_factors(q)) == 1
+                     for F in (GF(q), GF(q, seed=1))}.values())
+
+
+def _orbit_ns(F):
+    """The first five n >= 2 coprime to p that do not divide q - 1, so that
+    parts of degree >= 2 occur, and the largest n <= 40 that divides q - 1."""
+    ns = [n for n in range(2, 41) if n % F.p and (F.q - 1) % n][:5]
+    return ns + [max(n for n in range(1, 41) if (F.q - 1) % n == 0)]
+
+
+@pytest.mark.parametrize("F", ORBIT_FIELDS, ids=repr)
+def test_root_orbit_factors_match_splitting(F):
+    """Each part of degree d with q^d <= 256 of the distinct-degree split gives
+    the factors from the root orbits in GF(q^d) that Cantor-Zassenhaus splits
+    off it, for every lam when q <= 32 and three lams above."""
+    rng = random.Random(F.q)
+    units = list(range(1, F.q))
+    lams = units if F.q <= 32 else [1, F.exp[1], rng.choice(units)]
+    for n in _orbit_ns(F):
+        for li in lams:
+            lam = F.from_index(li)
+            power = _substitution(F, n, lam, F.p, frob=True)
+            for part, d in _ddf(Poly.xn_minus(F, n, lam), _pow_mod_q):
+                if F.q**d <= 256:
+                    got = sorted(_root_orbits(F, n, lam, d), key=Poly.key)
+                    assert got == sorted(_edf(part, d, rng, power), key=Poly.key), (n, li, d)
+
+
+@pytest.mark.parametrize(
+    "F,n,degrees,split",
+    [(GF(2), 45, [1, 2, 4, 4, 4, 6, 12, 12], {12}), (GF(3), 7, [1, 6], {6}),
+     (GF(257), 16, [1] * 16, {1}), (GF(512), 21, [1] * 7 + [2] * 7, {1, 2})],
+    ids=repr,
+)
+def test_cantor_zassenhaus_only_without_tables(F, n, degrees, split, monkeypatch):
+    """CZ splits exactly the parts of degree d with q^d > 256, whole: above
+    q = 256 that is every part, the linear one too; the root orbits the rest."""
+    calls = []
+
+    def spy(f, d, rng, power, edf=_edf):
+        calls.append((f, d))
+        return edf(f, d, rng, power)
+
+    monkeypatch.setattr(poly, "_edf", spy)
+    factors = factor_xn_minus_lambda(F, n, F.one)
+    assert [f.degree for f in factors] == degrees
+    parts = _ddf(Poly.xn_minus(F, n, F.one), _pow_mod_q)
+    assert {d for _, d in calls} == split
+    assert [c for c in calls if c in parts] == [(f, d) for f, d in parts if d in split]
 
 
 DDF_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 243, 256, 343, 729)
